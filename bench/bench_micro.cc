@@ -10,6 +10,7 @@
 /// PASS_BENCH_JSON overrides the JSON output path.
 
 #include <cstdio>
+#include <cstring>
 #include <functional>
 #include <future>
 #include <optional>
@@ -21,8 +22,6 @@
 #include "common/rng.h"
 #include "common/stopwatch.h"
 #include "engine/query_scheduler.h"
-#include "jit/fixed_kernels.h"
-#include "jit/kernel_cache.h"
 #include "kernel/scan_kernel.h"
 #include "stats/quantile.h"
 
@@ -43,7 +42,7 @@ struct MethodRow {
   /// Kept separate from qps_sequential (batch wall-clock throughput) so
   /// the two are never compared under one key in the artifact.
   double ops_per_sec = 0.0;
-  /// Simd-sweep rows only: scan throughput at the median per-op cost
+  /// Kernel-sweep rows only: scan throughput at the median per-op cost
   /// (rows per second through the scan kernel). 0 elsewhere.
   double rows_per_sec = 0.0;
   /// Anytime-sweep rows only: median CI half-width (lambda = 2.576) of the
@@ -56,6 +55,21 @@ struct MethodRow {
   uint64_t scan_units = 0;
   size_t parallel_threads = 1;
 };
+
+uint64_t Bits(double v) {
+  uint64_t b = 0;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+/// True when all five ScanStats fields carry the same bit patterns: the
+/// kernel sweeps check this before timing, so a faster variant can never
+/// be a wrong one.
+bool SameScanBits(const ScanStats& a, const ScanStats& b) {
+  return a.matched == b.matched && Bits(a.sum) == Bits(b.sum) &&
+         Bits(a.sum_sq) == Bits(b.sum_sq) && Bits(a.min) == Bits(b.min) &&
+         Bits(a.max) == Bits(b.max);
+}
 
 std::string JsonPath() {
   const char* env = std::getenv("PASS_BENCH_JSON");
@@ -684,9 +698,11 @@ int main() {
   // contested — the shape the estimator produces for a partial leaf whose
   // box the query covers on every other dimension; last rather than first
   // so the scalar loop's short-circuit order doesn't decide the race, and
-  // the sweep measures full-width scan cost). All three compute the same
-  // mask, so their stats are checked bit-identical before timing; CI
-  // asserts simd p50 <= scalar p50 and pruned rows/sec > scalar at d >= 2.
+  // the sweep measures full-width scan cost). The simd and pruned rows
+  // time ScanColumns as dispatched, so d <= kMaxFixedDims runs the fixed
+  // instantiations. All three compute the same mask, so their stats are
+  // checked bit-identical before timing; CI asserts simd p50 <= scalar p50
+  // and pruned rows/sec > scalar at d >= 2.
   {
     constexpr size_t kSweepRows = 8192;  // unscaled: in-run comparison only
     Rng sweep_rng(4242);
@@ -714,8 +730,7 @@ int main() {
         for (const ScanStats got :
              {ScanColumns(agg.data(), kSweepRows, all_dims.data(), d),
               ScanColumns(agg.data(), kSweepRows, &contested, 1)}) {
-          PASS_CHECK_MSG(got.matched == want.matched &&
-                             got.sum == want.sum && got.sum_sq == want.sum_sq,
+          PASS_CHECK_MSG(SameScanBits(got, want),
                          "simd sweep kernels diverged");
         }
 
@@ -763,28 +778,18 @@ int main() {
     simd_table.Print();
   }
 
-  // Specialization sweep: the generic runtime-dim kernel vs the two
-  // specialized tiers behind the KernelCache — the compile-time-fixed
-  // ScanColumnsFixed<NDims> (the default dispatch, full kernel ISA) and
-  // the copy-and-patch jit stencil (prefer_stencils opt-in, baseline ISA
-  // by the position-freedom constraint). Only the last dim is contested
-  // (same shape as the simd sweep) and every tier is checked bit-identical
-  // before timing. CI asserts fixed rows/sec >= generic at d >= 2, where
-  // the per-block descriptor loop the specialization deletes is widest;
-  // the jit rows track the stencil tier's measured ISA gap (the reason it
-  // is opt-in — see jit/jit_config.h); the compile_{cold,cached} pair
-  // prices one stencil patch vs a cache hit. Jit rows (and the compile
-  // pair) appear only when the stencil tier passed its build audit +
-  // runtime self-test on this target; the fixed tier requires just
-  // PASS_JIT=ON.
+  // Specialization sweep: the runtime-dim instantiation
+  // (ScanColumnsGeneric) vs ScanColumns, which dispatches these dim counts
+  // to the compile-time-fixed instantiations. Only the last dim is
+  // contested (same shape as the simd sweep) and both are checked
+  // bit-identical before timing. CI asserts fixed rows/sec >= generic at
+  // d >= 2, where the per-block descriptor loop the fixed kernels delete
+  // is widest. The jit_sweep_ row names predate the fixed kernels' move
+  // behind ScanColumns and are kept so the series stays comparable.
   {
     constexpr size_t kSweepRows = 8192;  // unscaled: in-run comparison only
     Rng jit_rng(4243);
     TablePrinter jit_table({"sweep", "p50_ms/op", "Mrows/s"});
-    const bool stencils = KernelCache::StencilTierAvailable();
-    JitConfig jit_config;
-    jit_config.prefer_stencils = true;  // jit rows time the stencil tier
-    KernelCache jit_cache(jit_config);
     for (const size_t d : {size_t{1}, size_t{2}, size_t{4}}) {
       std::vector<std::vector<double>> cols(d,
                                             std::vector<double>(kSweepRows));
@@ -800,50 +805,28 @@ int main() {
         }
         all_dims[d - 1] =
             ScanDim{cols[d - 1].data(), 0.0, static_cast<double>(sel) / 100.0};
-
-        const ScanStats want =
+        const ScanStats fixed =
             ScanColumns(agg.data(), kSweepRows, all_dims.data(), d);
-        const FixedKernelFn fixed_fn = FixedScanKernel(d, AggShape::kFull);
-        if (fixed_fn != nullptr) {
-          ScanStats got;
-          fixed_fn(agg.data(), kSweepRows, all_dims.data(), &got);
-          PASS_CHECK_MSG(got.matched == want.matched && got.sum == want.sum &&
-                             got.min == want.min && got.max == want.max,
-                         "fixed-tier sweep kernel diverged");
-        }
-        if (stencils) {
-          const ScanStats got = jit_cache.Scan(agg.data(), kSweepRows,
-                                               all_dims.data(), d,
-                                               AggShape::kFull);
-          PASS_CHECK_MSG(got.matched == want.matched && got.sum == want.sum &&
-                             got.min == want.min && got.max == want.max,
-                         "jit-tier sweep kernel diverged");
-        }
+        const ScanStats generic =
+            ScanColumnsGeneric(agg.data(), kSweepRows, all_dims.data(), d);
+        PASS_CHECK_MSG(SameScanBits(fixed, generic),
+                       "fixed sweep kernel diverged from the generic one");
 
         struct Variant {
           const char* name;
           std::function<void()> op;
         };
-        std::vector<Variant> variants;
-        variants.push_back({"generic", [&] {
-                              (void)ScanColumns(agg.data(), kSweepRows,
-                                                all_dims.data(), d);
-                            }});
-        if (fixed_fn != nullptr) {
-          variants.push_back({"fixed", [&, fixed_fn] {
-                                ScanStats out;
-                                fixed_fn(agg.data(), kSweepRows,
-                                         all_dims.data(), &out);
-                              }});
-        }
-        if (stencils) {
-          // Warmed above: times the hit path + patched code, not compiles.
-          variants.push_back({"jit", [&] {
-                                (void)jit_cache.Scan(agg.data(), kSweepRows,
-                                                     all_dims.data(), d,
-                                                     AggShape::kFull);
-                              }});
-        }
+        const Variant variants[] = {
+            {"generic",
+             [&] {
+               (void)ScanColumnsGeneric(agg.data(), kSweepRows,
+                                        all_dims.data(), d);
+             }},
+            {"fixed",
+             [&] {
+               (void)ScanColumns(agg.data(), kSweepRows, all_dims.data(), d);
+             }},
+        };
         for (const Variant& v : variants) {
           char name[48];
           std::snprintf(name, sizeof(name), "jit_sweep_%s_d%zu_s%d", v.name,
@@ -864,42 +847,7 @@ int main() {
         }
       }
     }
-    if (stencils) {
-      // Compile cost: every cold op patches a never-seen predicate (the
-      // bound bits are salted per call, so each is a fresh key); the
-      // cached op replays one key forever. Tiny n keeps the scan itself
-      // out of the measurement.
-      JitConfig cold_config;
-      cold_config.max_cached_kernels = 4096;
-      cold_config.prefer_stencils = true;
-      KernelCache cold_cache(cold_config);
-      std::vector<double> tiny_agg(8, 1.0);
-      std::vector<double> tiny_col(8, 0.5);
-      uint64_t salt = 0;
-      for (const bool cold : {true, false}) {
-        MethodRow row;
-        row.method = cold ? "jit_sweep_compile_cold"
-                          : "jit_sweep_compile_cached";
-        const std::vector<double> per_op_ms =
-            TimeKernel(30, 50, [&cold_cache, &tiny_agg, &tiny_col, &salt,
-                                cold] {
-              const double hi =
-                  cold ? 1.0 + 1e-9 * static_cast<double>(++salt) : 0.75;
-              const ScanDim dim{tiny_col.data(), 0.0, hi};
-              (void)cold_cache.Scan(tiny_agg.data(), tiny_agg.size(), &dim, 1,
-                                    AggShape::kFull);
-            });
-        row.p50_latency_ms = Quantile(per_op_ms, 0.5);
-        row.p95_latency_ms = Quantile(per_op_ms, 0.95);
-        row.ops_per_sec =
-            row.p50_latency_ms > 0.0 ? 1e3 / row.p50_latency_ms : 0.0;
-        jit_table.AddRow({row.method, FormatDouble(row.p50_latency_ms, 4),
-                          "-"});
-        rows.push_back(row);
-      }
-    }
-    std::printf("\nspecialization sweep (stencil tier %s):\n",
-                stencils ? "on" : "off");
+    std::printf("\nspecialization sweep (fixed vs runtime-dim kernel):\n");
     jit_table.Print();
   }
 

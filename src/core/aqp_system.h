@@ -9,11 +9,11 @@
 #include "core/estimation_session.h"
 #include "core/query.h"
 #include "core/work_budget.h"
+#include "jit/kernel_cache.h"
 
 namespace pass {
 
 class CoveredCacheHost;
-class KernelCache;
 class SemanticAnswerCache;
 
 /// Build-time / space costs of a synopsis, reported alongside accuracy in
@@ -127,10 +127,9 @@ class AqpSystem {
   /// overrides this.
   virtual const SemanticAnswerCache* AnswerCache() const { return nullptr; }
 
-  /// The per-query specialized-kernel cache serving this system's scans
-  /// (jit/kernel_cache.h), or nullptr when every scan runs the generic
-  /// kernel. The scheduler snapshots its tier counters onto
-  /// ScheduledAnswer so callers can assert which kernel tier engaged.
+  /// The kernel tier counters this system's scans record into
+  /// (jit/kernel_cache.h), or nullptr when its scans go uncounted. Lets
+  /// callers assert which ScanColumns instantiation served their scans.
   virtual const KernelCache* ScanKernelCache() const { return nullptr; }
 
   /// Offers this system a covered-node aggregate cache (see

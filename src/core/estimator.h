@@ -47,12 +47,10 @@ struct EstimatorOptions {
   /// answer and session using these options.
   CoveredNodeSource* covered_source = nullptr;
 
-  /// Cache of per-query specialized scan kernels (jit/kernel_cache.h);
-  /// nullptr runs every leaf scan through the generic kernel. Specialized
-  /// and generic scans are bit-identical by the kernel contract, so
-  /// installing a cache never changes an answer — the registry installs
-  /// one per engine when EngineConfig::jit.enabled, shared across shards
-  /// so refined/repeated predicates reuse compiled kernels.
+  /// Kernel tier counters every leaf scan records into
+  /// (jit/kernel_cache.h); nullptr scans uncounted. Counting never changes
+  /// an answer. The registry installs one per engine, shared across
+  /// shards and ensemble members.
   std::shared_ptr<KernelCache> kernel_cache;
 };
 

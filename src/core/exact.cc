@@ -32,9 +32,9 @@ ScanMoments ScanRows(const Dataset& data, const Rect& predicate,
     dims[k] = ScanDim{data.pred_column(k).data(), predicate.dim(k).lo,
                       predicate.dim(k).hi};
   }
-  const ScanStats s = SpecializedScan(data.agg_column().data(),
-                                      data.NumRows(), dims.data(), d, shape,
-                                      cache);
+  if (cache != nullptr) cache->Record(d);
+  const ScanStats s = ScanColumns(data.agg_column().data(), data.NumRows(),
+                                  dims.data(), d, shape);
   return ScanMoments{s.matched, s.sum, s.min, s.max};
 }
 
@@ -42,9 +42,9 @@ ScanMoments ScanRows(const Dataset& data, const Rect& predicate,
 
 ExactResult ExactAnswer(const Dataset& data, const Query& query,
                         KernelCache* kernel_cache) {
-  // Only MIN/MAX read the extrema; the fused moments shape lets the
-  // specialized tiers skip the per-row compare-selects for the rest. The
-  // moments a kMoments scan returns are bit-identical to kFull's.
+  // Only MIN/MAX read the extrema; the moments shape skips the per-row
+  // compare-selects for the rest. The moments a kMoments scan returns are
+  // bit-identical to kFull's.
   const AggShape shape = (query.agg == AggregateType::kMin ||
                           query.agg == AggregateType::kMax)
                              ? AggShape::kFull

@@ -42,10 +42,9 @@ inline double RelativeError(double estimate, const ExactResult& truth) {
 /// all-or-nothing — the serving layer sheds an over-deadline exact query
 /// instead of truncating it (ExactSystem::SupportsBudget() is false).
 ///
-/// `kernel_cache` optionally routes the scan through a per-query
-/// specialized kernel (jit/kernel_cache.h); nullptr scans generically.
-/// Bit-identical either way. MIN/MAX queries need the full aggregate
-/// shape; SUM/COUNT/AVG specialize to the cheaper moments-only shape.
+/// `kernel_cache` optionally counts which kernel tier served the scan
+/// (jit/kernel_cache.h). MIN/MAX queries need the full aggregate shape;
+/// SUM/COUNT/AVG scan the cheaper moments-only shape.
 ExactResult ExactAnswer(const Dataset& data, const Query& query,
                         KernelCache* kernel_cache = nullptr);
 

@@ -46,16 +46,6 @@ uint64_t StratifiedSample::TotalScanCalls() {
   return total;
 }
 
-StratifiedSample::ScanResult StratifiedSample::Scan(const Rect& query) const {
-  return ScanImpl(query, nullptr, nullptr);
-}
-
-StratifiedSample::ScanResult StratifiedSample::Scan(
-    const Rect& query, const Rect& leaf_box) const {
-  PASS_DCHECK(leaf_box.NumDims() == preds_.size());
-  return ScanImpl(query, &leaf_box, nullptr);
-}
-
 StratifiedSample::ScanResult StratifiedSample::Scan(const Rect& query,
                                                     KernelCache* cache) const {
   return ScanImpl(query, nullptr, cache);
@@ -94,8 +84,8 @@ StratifiedSample::ScanResult StratifiedSample::ScanImpl(
 
   // Estimator scans always want the full shape: the observed extrema feed
   // FrontierStats and the deterministic hard bounds downstream.
-  const ScanStats s = SpecializedScan(agg_.data(), agg_.size(), dims,
-                                      contested, AggShape::kFull, cache);
+  if (cache != nullptr) cache->Record(contested);
+  const ScanStats s = ScanColumns(agg_.data(), agg_.size(), dims, contested);
   ScanResult out;
   out.matched = s.matched;
   out.sum = s.sum;

@@ -71,7 +71,9 @@ class StratifiedSample {
   /// determinism are pinned by the shared kernel contract
   /// (kernel/scan_kernel.h): NaN values never match, -0.0 == 0.0, and the
   /// reduction order is fixed so scalar and SIMD builds agree bit-for-bit.
-  ScanResult Scan(const Rect& query) const;
+  /// A non-null `cache` counts which kernel tier served the scan
+  /// (jit/kernel_cache.h).
+  ScanResult Scan(const Rect& query, KernelCache* cache = nullptr) const;
 
   /// Scan with active-dim pruning: a dimension whose `leaf_box` interval
   /// (the leaf's tight data bounding box) is fully contained by the query
@@ -81,15 +83,8 @@ class StratifiedSample {
   /// match mask. Precondition: sampled predicate values lie inside
   /// `leaf_box` (the tree builder's invariant; NaN predicate values are
   /// outside it and unsupported by the builders).
-  ScanResult Scan(const Rect& query, const Rect& leaf_box) const;
-
-  /// Like the overloads above, but scans through `cache`'s best
-  /// specialized kernel tier when `cache` is non-null (jit/kernel_cache.h;
-  /// nullptr is the plain generic scan). Tier choice never changes result
-  /// bits, so these are drop-in replacements at every call site.
-  ScanResult Scan(const Rect& query, KernelCache* cache) const;
   ScanResult Scan(const Rect& query, const Rect& leaf_box,
-                  KernelCache* cache) const;
+                  KernelCache* cache = nullptr) const;
 
   /// Process-wide count of Scan() invocations. Each thread bumps its own
   /// counter (no shared cache line on the hot scan loop); reads aggregate

@@ -77,8 +77,8 @@ class Synopsis final : public AqpSystem {
   const EstimatorOptions& options() const { return options_; }
   EstimatorOptions& mutable_options() { return options_; }
 
-  /// The specialized-kernel cache every leaf scan dispatches through
-  /// (installed by the registry when EngineConfig::jit.enabled).
+  /// The kernel tier counters every leaf scan records into (installed by
+  /// the registry; nullptr on a synopsis built directly).
   const KernelCache* ScanKernelCache() const override {
     return options_.kernel_cache.get();
   }

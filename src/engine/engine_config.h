@@ -9,7 +9,6 @@
 #include "common/status.h"
 #include "core/estimator.h"
 #include "core/query.h"
-#include "jit/jit_config.h"
 #include "partition/build_options.h"
 #include "shard/shard_options.h"
 
@@ -109,13 +108,6 @@ struct EngineConfig {
   /// knob.
   CacheConfig cache;
 
-  /// Per-query specialized scan kernels (see jit/kernel_cache.h). When
-  /// enabled the registry installs one KernelCache per engine (shared by
-  /// its shards) and every scan dispatches through the best available
-  /// tier. Purely a latency knob: specialized scans are bit-identical to
-  /// generic ones.
-  JitConfig jit;
-
   uint64_t seed = 42;
 
   /// Validates the fields every engine depends on. Factories run this
@@ -149,10 +141,6 @@ struct EngineConfig {
     }
     if (cache.ttl.count() < 0) {
       return Status::InvalidArgument("cache ttl must be non-negative");
-    }
-    if (jit.enabled && jit.max_cached_kernels == 0) {
-      return Status::InvalidArgument(
-          "an enabled jit needs max_cached_kernels >= 1");
     }
     return Status::Ok();
   }

@@ -156,16 +156,12 @@ Result<std::unique_ptr<AqpSystem>> EngineRegistry::Create(
   if (data.NumRows() == 0) {
     return Status::FailedPrecondition("dataset is empty");
   }
-  // One specialized-kernel cache per engine, injected through the
+  // One set of kernel tier counters per engine, injected through the
   // estimator options every factory forwards: shards, ensemble members
-  // and the exact path all share it, so a predicate compiled once serves
-  // the whole engine. Tier dispatch is bit-identical to the generic
-  // kernel, making this safe to install unconditionally when enabled.
+  // and the exact path all record into it. Counting never changes an
+  // answer.
   EngineConfig effective = config;
-  if (config.jit.enabled) {
-    effective.estimator.kernel_cache =
-        std::make_shared<KernelCache>(config.jit);
-  }
+  effective.estimator.kernel_cache = std::make_shared<KernelCache>();
   Result<std::unique_ptr<AqpSystem>> built = it->second(data, effective);
   if (!built.ok() || !config.cache.enabled) return built;
   // Serve the engine behind the semantic answer cache. The wrapper is

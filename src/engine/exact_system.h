@@ -21,9 +21,8 @@ namespace pass {
 /// scheduler sheds an over-deadline exact query rather than budgeting it.
 class ExactSystem final : public AqpSystem {
  public:
-  /// `kernel_cache` optionally routes full scans through per-query
-  /// specialized kernels (jit/kernel_cache.h; the registry installs one
-  /// when EngineConfig::jit.enabled). Bit-identical to generic scans.
+  /// `kernel_cache` optionally counts which kernel tier served each full
+  /// scan (jit/kernel_cache.h; the registry installs one on every engine).
   explicit ExactSystem(const Dataset& data,
                        std::shared_ptr<KernelCache> kernel_cache = nullptr)
       : data_(&data), kernel_cache_(std::move(kernel_cache)) {}

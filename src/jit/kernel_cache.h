@@ -1,117 +1,54 @@
-#ifndef PASS_JIT_KERNEL_CACHE_H_
-#define PASS_JIT_KERNEL_CACHE_H_
+#ifndef PASS_SRC_JIT_KERNEL_CACHE_H_
+#define PASS_SRC_JIT_KERNEL_CACHE_H_
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <memory>
-#include <unordered_map>
 
-#include "common/mutex.h"
-#include "common/thread_annotations.h"
-#include "jit/exec_spec.h"
-#include "jit/fixed_kernels.h"
-#include "jit/jit_config.h"
 #include "kernel/scan_kernel.h"
 
 namespace pass {
 
-/// Per-engine cache of per-query specialized scan kernels, and the one
-/// dispatch point of the specialization layer. The tiers, in default
-/// serving order:
-///
-///   fixed — the compile-time ScanColumnsFixed<NDims> instantiation,
-///           available under PASS_JIT=ON for 1..4 dims. Compiled at the
-///           kernel TU's full vector ISA; the measured winner, so it
-///           serves first unless JitConfig::prefer_stencils flips it.
-///   jit   — a copy-and-patch stencil with the rectangle patched in as
-///           immediates, compiled once per (dim layout, shape, bound
-///           bits) and reused from the FIFO-bounded cache. Requires the
-///           stencil tier to be available on this build/target (see
-///           jit/exec_spec.h) and 1 <= num_dims <= kMaxSpecializedDims.
-///   generic — kernel/scan_kernel.cc ScanColumns, always available.
-///
-/// Tier choice is pure dispatch: every tier is bit-identical on the
-/// fields the requested AggShape covers, so callers never observe which
-/// tier served them except through the counters.
-///
-/// Thread-safe. Kernel lookups take a reader lock; compiles happen
-/// outside any lock (two racing compiles of the same key both succeed
-/// and the loser's buffer is dropped); eviction pops FIFO order under
-/// the writer lock, and shared_ptr ownership keeps an evicted kernel's
-/// code mapped while a concurrent scan is still inside it.
-class KernelCache {
- public:
-  explicit KernelCache(const JitConfig& config) : config_(config) {}
-
-  /// Scans like ScanColumns(agg, n, dims, num_dims) through the best
-  /// tier. Under AggShape::kMoments the returned min/max are
-  /// unspecified-but-initialized (+inf/-inf from a specialized tier, the
-  /// true extrema from the generic one) — callers asking for kMoments
-  /// must not read them.
-  ScanStats Scan(const double* agg, size_t n, const ScanDim* dims,
-                 size_t num_dims, AggShape shape) EXCLUDES(mu_);
-
-  /// Cumulative tier/compile counters (mirrors CacheStats semantics).
-  KernelTierStats Stats() const;
-
-  /// Compiled kernels currently resident.
-  size_t CompiledKernels() const EXCLUDES(mu_);
-
-  const JitConfig& config() const { return config_; }
-
-  /// True when this build+target can serve the jit tier at all (stencils
-  /// compiled in, relocation audit passed, runtime self-test passed).
-  static bool StencilTierAvailable();
-
- private:
-  // A compiled kernel is keyed by everything baked into its code:
-  // dim count, aggregate shape, and the exact bit patterns of the
-  // rectangle bounds (bitwise, so -0.0 and 0.0 are distinct keys and a
-  // NaN bound is cacheable like any other pattern). Column pointers are
-  // call arguments, not key material — one compiled predicate serves
-  // every leaf.
-  struct Key {
-    uint8_t shape = 0;
-    uint8_t num_dims = 0;
-    uint64_t lo_bits[kMaxSpecializedDims] = {};
-    uint64_t hi_bits[kMaxSpecializedDims] = {};
-
-    bool operator==(const Key& o) const;
-  };
-  struct KeyHash {
-    size_t operator()(const Key& k) const;
-  };
-
-  std::shared_ptr<const ExecSpec> GetOrCompile(const Key& key,
-                                               const PreparedStencil& stencil)
-      EXCLUDES(mu_);
-
-  const JitConfig config_;
-  mutable SharedMutex mu_;
-  std::unordered_map<Key, std::shared_ptr<const ExecSpec>, KeyHash> map_
-      GUARDED_BY(mu_);
-  // Insertion order, for capacity eviction.
-  std::deque<Key> fifo_ GUARDED_BY(mu_);
-  std::atomic<uint64_t> generic_scans_{0};
-  std::atomic<uint64_t> fixed_scans_{0};
-  std::atomic<uint64_t> jit_scans_{0};
-  std::atomic<uint64_t> compiles_{0};
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> evictions_{0};
+/// One snapshot of a KernelCache's cumulative counters. Cumulative rather
+/// than per-query because concurrent queries share the counters;
+/// sequential callers diff consecutive snapshots for per-query deltas.
+struct KernelTierStats {
+  uint64_t generic_scans = 0;  // runtime-dim loop: 0 or > kMaxFixedDims
+  uint64_t fixed_scans = 0;    // fixed-dim instantiation: 1..kMaxFixedDims
+  uint64_t jit_scans = 0;      // always 0; perfbench/src/layers.cc reads it
 };
 
-/// Convenience dispatch used by the scan call sites: scans through
-/// `cache` when one is installed, straight through the generic kernel
-/// when `cache` is nullptr (the JIT-off path, bit-identical by contract).
-inline ScanStats SpecializedScan(const double* agg, size_t n,
-                                 const ScanDim* dims, size_t num_dims,
-                                 AggShape shape, KernelCache* cache) {
-  if (cache != nullptr) return cache->Scan(agg, n, dims, num_dims, shape);
-  return ScanColumns(agg, n, dims, num_dims);
-}
+/// Per-engine counters of which ScanColumns instantiation served each leaf
+/// or full-column scan (kernel/scan_kernel.h). The registry installs one on
+/// every engine, shared by its shards and ensemble members; a synopsis
+/// built directly has none and scans the same kernels uncounted. Counting
+/// never changes what runs: dispatch happens inside ScanColumns.
+///
+/// Thread-safe: relaxed atomics, so Stats() is a monotone but not
+/// mutually consistent snapshot under concurrent scans.
+class KernelCache {
+ public:
+  /// Counts one scan over `num_dims` contested dimensions under the tier
+  /// ScanColumns dispatches it to.
+  void Record(size_t num_dims) {
+    std::atomic<uint64_t>& counter =
+        num_dims >= 1 && num_dims <= kMaxFixedDims ? fixed_scans_
+                                                   : generic_scans_;
+    counter.fetch_add(1, std::memory_order_relaxed);
+  }
+
+  KernelTierStats Stats() const {
+    KernelTierStats s;
+    s.generic_scans = generic_scans_.load(std::memory_order_relaxed);
+    s.fixed_scans = fixed_scans_.load(std::memory_order_relaxed);
+    return s;
+  }
+
+ private:
+  std::atomic<uint64_t> generic_scans_{0};
+  std::atomic<uint64_t> fixed_scans_{0};
+};
 
 }  // namespace pass
 
-#endif  // PASS_JIT_KERNEL_CACHE_H_
+#endif  // PASS_SRC_JIT_KERNEL_CACHE_H_

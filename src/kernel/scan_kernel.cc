@@ -44,18 +44,21 @@ double CanonicalNan(double x) {
 #define PASS_SIMD_COUNT(var)
 #endif
 
-}  // namespace
+// Dim count of the runtime-dim instantiation: the mask is built from the
+// `dims` descriptors one dimension per pass, for any num_dims.
+constexpr size_t kRuntimeDims = 0;
 
-bool ScanKernelVectorized() {
-#if defined(PASS_SIMD)
-  return true;
-#else
-  return false;
-#endif
-}
+// The one scan body. NDims in [1, kMaxFixedDims] fixes the contested-dim
+// count at compile time and fuses each row's conjunction into one pass
+// whose dim loop unrolls; kRuntimeDims reads num_dims and builds the mask
+// with one blockwise pass per dim. The two only build the (integer-exact)
+// mask differently; the accumulate and fold below are shared, which is
+// what keeps every instantiation bit-identical.
+template <size_t NDims, AggShape kShape>
+ScanStats ScanBody(const double* agg, size_t n, const ScanDim* dims,
+                   size_t num_dims) {
+  constexpr bool kMinMax = kShape == AggShape::kFull;
 
-ScanStats ScanColumns(const double* agg, size_t n, const ScanDim* dims,
-                      size_t num_dims) {
   // Per-stripe accumulators as plain locals: stripe l owns rows congruent
   // to l mod kScanLanes, and the final combine folds stripes in index
   // order, which fixes the floating-point reduction tree in source.
@@ -76,9 +79,28 @@ ScanStats ScanColumns(const double* agg, size_t n, const ScanDim* dims,
   for (size_t base = 0; base < n; base += kBlockRows) {
     const size_t len = std::min(kBlockRows, n - base);
 
-    // Per-dim compare into the match mask. Branchless: a NaN value (or a
-    // NaN bound) compares false on both sides and never matches.
-    if (num_dims == 0) {
+    // Branchless interval tests: a NaN value (or a NaN bound) compares
+    // false on both sides and never matches.
+    if constexpr (NDims != kRuntimeDims) {
+      // Column slices and bounds in locals, so they stay in registers.
+      const double* cols[NDims];
+      double lo[NDims];
+      double hi[NDims];
+      for (size_t k = 0; k < NDims; ++k) {
+        cols[k] = dims[k].values + base;
+        lo[k] = dims[k].lo;
+        hi[k] = dims[k].hi;
+      }
+      PASS_SIMD_LOOP
+      for (size_t jj = 0; jj < len; ++jj) {
+        uint32_t m = 1;
+        for (size_t k = 0; k < NDims; ++k) {
+          m &= static_cast<uint32_t>(cols[k][jj] >= lo[k]) &
+               static_cast<uint32_t>(cols[k][jj] <= hi[k]);
+        }
+        mask[jj] = m;
+      }
+    } else if (num_dims == 0) {
       for (size_t jj = 0; jj < len; ++jj) mask[jj] = 1;
     } else {
       {
@@ -125,10 +147,12 @@ ScanStats ScanColumns(const double* agg, size_t n, const ScanDim* dims,
         const double sel = hit ? v : 0.0;
         lane_sum[l] += sel;
         lane_sum_sq[l] += sel * sel;
-        const double cmin = hit ? v : kInf;
-        lane_min[l] = cmin < lane_min[l] ? cmin : lane_min[l];
-        const double cmax = hit ? v : -kInf;
-        lane_max[l] = cmax > lane_max[l] ? cmax : lane_max[l];
+        if constexpr (kMinMax) {
+          const double cmin = hit ? v : kInf;
+          lane_min[l] = cmin < lane_min[l] ? cmin : lane_min[l];
+          const double cmax = hit ? v : -kInf;
+          lane_max[l] = cmax > lane_max[l] ? cmax : lane_max[l];
+        }
       }
     }
     for (; jj < len; ++jj) {
@@ -138,10 +162,12 @@ ScanStats ScanColumns(const double* agg, size_t n, const ScanDim* dims,
       const double sel = hit ? v : 0.0;
       lane_sum[l] += sel;
       lane_sum_sq[l] += sel * sel;
-      const double cmin = hit ? v : kInf;
-      lane_min[l] = cmin < lane_min[l] ? cmin : lane_min[l];
-      const double cmax = hit ? v : -kInf;
-      lane_max[l] = cmax > lane_max[l] ? cmax : lane_max[l];
+      if constexpr (kMinMax) {
+        const double cmin = hit ? v : kInf;
+        lane_min[l] = cmin < lane_min[l] ? cmin : lane_min[l];
+        const double cmax = hit ? v : -kInf;
+        lane_max[l] = cmax > lane_max[l] ? cmax : lane_max[l];
+      }
     }
   }
 
@@ -150,12 +176,57 @@ ScanStats ScanColumns(const double* agg, size_t n, const ScanDim* dims,
   for (size_t l = 0; l < kScanLanes; ++l) {
     out.sum += lane_sum[l];
     out.sum_sq += lane_sum_sq[l];
-    out.min = lane_min[l] < out.min ? lane_min[l] : out.min;
-    out.max = lane_max[l] > out.max ? lane_max[l] : out.max;
+    if constexpr (kMinMax) {
+      out.min = lane_min[l] < out.min ? lane_min[l] : out.min;
+      out.max = lane_max[l] > out.max ? lane_max[l] : out.max;
+    }
   }
   out.sum = CanonicalNan(out.sum);
   out.sum_sq = CanonicalNan(out.sum_sq);
   return out;
+}
+
+template <AggShape kShape>
+ScanStats Dispatch(const double* agg, size_t n, const ScanDim* dims,
+                   size_t num_dims) {
+  static_assert(kMaxFixedDims == 4, "the switch covers exactly 1..4 dims");
+  switch (num_dims) {
+    case 1:
+      return ScanBody<1, kShape>(agg, n, dims, num_dims);
+    case 2:
+      return ScanBody<2, kShape>(agg, n, dims, num_dims);
+    case 3:
+      return ScanBody<3, kShape>(agg, n, dims, num_dims);
+    case 4:
+      return ScanBody<4, kShape>(agg, n, dims, num_dims);
+    default:
+      return ScanBody<kRuntimeDims, kShape>(agg, n, dims, num_dims);
+  }
+}
+
+}  // namespace
+
+bool ScanKernelVectorized() {
+#if defined(PASS_SIMD)
+  return true;
+#else
+  return false;
+#endif
+}
+
+ScanStats ScanColumns(const double* agg, size_t n, const ScanDim* dims,
+                      size_t num_dims, AggShape shape) {
+  return shape == AggShape::kFull
+             ? Dispatch<AggShape::kFull>(agg, n, dims, num_dims)
+             : Dispatch<AggShape::kMoments>(agg, n, dims, num_dims);
+}
+
+ScanStats ScanColumnsGeneric(const double* agg, size_t n, const ScanDim* dims,
+                             size_t num_dims, AggShape shape) {
+  return shape == AggShape::kFull
+             ? ScanBody<kRuntimeDims, AggShape::kFull>(agg, n, dims, num_dims)
+             : ScanBody<kRuntimeDims, AggShape::kMoments>(agg, n, dims,
+                                                          num_dims);
 }
 
 ScanStats ScanColumnsScalarRef(const double* agg, size_t n,

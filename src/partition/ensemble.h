@@ -44,8 +44,8 @@ class SynopsisEnsemble final : public AqpSystem {
     }
   }
 
-  /// Members share one engine-level kernel cache (see the registry), so
-  /// the first member's view is the engine's.
+  /// Members share one engine-level set of kernel tier counters (see the
+  /// registry), so the first member's view is the engine's.
   const KernelCache* ScanKernelCache() const override {
     return members_.empty() ? nullptr
                             : members_[0].synopsis->ScanKernelCache();

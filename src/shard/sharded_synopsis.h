@@ -59,9 +59,9 @@ class ShardedSynopsis final : public AqpSystem {
     for (auto& shard : shards_) shard->AttachCoveredNodeCache(host);
   }
 
-  /// Shards share one engine-level kernel cache (the registry installs
-  /// the same one into every shard), so the first shard's view is the
-  /// engine's.
+  /// Shards share one engine-level set of kernel tier counters (the
+  /// registry installs the same one into every shard), so the first
+  /// shard's view is the engine's.
   const KernelCache* ScanKernelCache() const override {
     return shards_.empty() ? nullptr : shards_[0]->ScanKernelCache();
   }

@@ -3,8 +3,8 @@
 // Deliberately broken: the C++17 reducer family (std::reduce,
 // std::transform_reduce) plus a strided raw double-pointer fold — the
 // shapes a specialized-kernel PR is most tempted to hand-roll. The
-// fp-accumulation rule exempts src/kernel/ AND src/jit/ (both hold
-// bit-identical kernel bodies); this file lives in neither, so every
+// fp-accumulation rule exempts only src/kernel/ (the one home of the
+// deterministic scan kernel); this file lives outside it, so every
 // reduction below must be flagged. Not compiled into any target —
 // tools/lint's self-test asserts check_invariants.py flags it.
 
@@ -21,7 +21,7 @@ double SumWithReduce(const std::vector<double>& column) {
 
 double DotWithTransformReduce(const std::vector<double>& a,
                               const std::vector<double>& b) {
-  // BAD: std::transform_reduce outside the kernel/jit allowlist.
+  // BAD: std::transform_reduce outside the kernel allowlist.
   return std::transform_reduce(a.begin(), a.end(), b.begin(), 0.0);
 }
 

@@ -7,9 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "core/exact.h"
 #include "data/generators.h"
 #include "engine/exact_system.h"
+#include "jit/kernel_cache.h"
+#include "kernel/scan_kernel.h"
 
 namespace pass {
 namespace {
@@ -22,6 +25,28 @@ const std::vector<std::string>& BuiltinNames() {
 }
 
 Dataset SmokeData() { return MakeUniform(4000, /*seed=*/11, 1.0, 2.0); }
+
+/// The engines whose scans run through ScanColumns and record kernel tier
+/// counters.
+const std::vector<std::string>& ScanningNames() {
+  static const std::vector<std::string>* names = new std::vector<std::string>{
+      "ensemble", "exact", "pass", "sharded_pass", "stratified", "uniform"};
+  return *names;
+}
+
+/// `dims` predicate columns uniform in [0, 1), aggregate uniform in [1, 2).
+Dataset UniformCube(size_t dims) {
+  std::vector<std::string> names;
+  for (size_t k = 0; k < dims; ++k) names.push_back("c" + std::to_string(k));
+  Dataset data("agg", names);
+  Rng rng(/*seed=*/13);
+  std::vector<double> row(dims);
+  for (int i = 0; i < 4000; ++i) {
+    for (double& v : row) v = rng.UniformDouble();
+    data.AddRow(row, rng.UniformDouble(1.0, 2.0));
+  }
+  return data;
+}
 
 Query SmokeQuery() {
   return MakeRangeQuery(AggregateType::kSum, 0.2, 0.8);
@@ -63,6 +88,51 @@ TEST(EngineRegistry, EveryBuiltinConstructsAndAnswers) {
     } else {
       EXPECT_LT(rel, 0.5) << name << " answered " << answer.estimate.value
                           << " vs truth " << truth.value;
+    }
+  }
+}
+
+TEST(EngineRegistry, KernelTierCountersFollowTheDimDispatch) {
+  KernelCache counters;
+  for (size_t d = 0; d <= 8; ++d) counters.Record(d);
+  const KernelTierStats stats = counters.Stats();
+  EXPECT_EQ(stats.fixed_scans, kMaxFixedDims);        // d = 1..4
+  EXPECT_EQ(stats.generic_scans, 9 - kMaxFixedDims);  // d = 0 and 5..8
+  EXPECT_EQ(stats.jit_scans, 0u);
+}
+
+TEST(EngineRegistry, ScanningEnginesCountFixedAndGenericScans) {
+  EngineConfig config;
+  config.sample_rate = 0.05;
+  config.partitions = 16;
+  // The middle band of every dim: a partial leaf's data box fits inside it
+  // on at most one dim, so a query over d <= 4 dims contests 1..d per scan
+  // (fixed kernels) and a 6-D one 5 or 6 (runtime-dim loop).
+  for (const size_t dims : {size_t{1}, size_t{4}, size_t{6}}) {
+    SCOPED_TRACE(dims);
+    const Dataset data = UniformCube(dims);
+    Query query;
+    query.predicate = Rect(dims);
+    for (size_t k = 0; k < dims; ++k) query.predicate.dim(k) = {0.3, 0.7};
+    for (const std::string& name : ScanningNames()) {
+      SCOPED_TRACE(name);
+      auto engine = EngineRegistry::Global().Create(name, data, config);
+      ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+      const KernelCache* counters = (*engine)->ScanKernelCache();
+      ASSERT_NE(counters, nullptr);
+      const KernelTierStats before = counters->Stats();
+      (void)(*engine)->Answer(query);
+      const KernelTierStats after = counters->Stats();
+      const uint64_t fixed = after.fixed_scans - before.fixed_scans;
+      const uint64_t generic = after.generic_scans - before.generic_scans;
+      if (dims <= kMaxFixedDims) {
+        EXPECT_GT(fixed, 0u);
+        EXPECT_EQ(generic, 0u);
+      } else {
+        EXPECT_EQ(fixed, 0u);
+        EXPECT_GT(generic, 0u);
+      }
+      EXPECT_EQ(after.jit_scans, 0u);
     }
   }
 }

@@ -1,10 +1,12 @@
 /// The scan-kernel contract (kernel/scan_kernel.h): the branchless masked
-/// kernel is bit-for-bit identical to the independently written scalar
-/// reference on arbitrary (leaf, rect) pairs — including empty leaves,
-/// all-match, none-match, degenerate rects, NaN values/bounds and signed
-/// zeros — active-dim pruning never changes a result bit, and with the
-/// kernel under every engine, registry-wide answers stay bit-identical
-/// across sharding (K ∈ {1, 2, 4}) and session resume.
+/// kernel — the fixed-dim instantiations ScanColumns dispatches to and the
+/// runtime-dim loop alike, under both aggregate shapes — is bit-for-bit
+/// identical to the independently written scalar reference on arbitrary
+/// (leaf, rect) pairs — including empty leaves, all-match, none-match,
+/// degenerate rects, NaN values/bounds and signed zeros — active-dim
+/// pruning never changes a result bit, and with the kernel under every
+/// engine, registry-wide answers stay bit-identical across sharding
+/// (K ∈ {1, 2, 4}) and session resume.
 
 #include "kernel/scan_kernel.h"
 
@@ -99,11 +101,22 @@ void RandomInterval(Rng* rng, double* lo, double* hi) {
 // Randomized fuzz: SIMD kernel == scalar reference, bit for bit
 // ---------------------------------------------------------------------------
 
+using ScanFn = ScanStats (*)(const double*, size_t, const ScanDim*, size_t,
+                             AggShape);
+
 TEST(ScanKernel, FuzzMatchesScalarReferenceBitForBit) {
+  struct Kernel {
+    const char* name;
+    ScanFn scan;
+  };
+  const Kernel kernels[] = {{"ScanColumns", &ScanColumns},
+                            {"ScanColumnsGeneric", &ScanColumnsGeneric}};
   Rng rng(0x5EEDF00Dull);
   constexpr int kPairs = 10000;
   for (int iter = 0; iter < kPairs; ++iter) {
-    const size_t d = static_cast<size_t>(rng.UniformInt(0, 4));
+    // d spans both sides of ScanColumns' dispatch: 1..kMaxFixedDims run
+    // the fixed instantiations, 0 and 5..8 the runtime-dim loop.
+    const size_t d = static_cast<size_t>(rng.UniformInt(0, 8));
     // Lengths straddle the kernel's block (256) and lane (8) boundaries:
     // empty, sub-lane, ragged tails, and multi-block leaves all occur.
     const size_t n = static_cast<size_t>(
@@ -117,12 +130,21 @@ TEST(ScanKernel, FuzzMatchesScalarReferenceBitForBit) {
       dims[k].values = cols[k].data();
       RandomInterval(&rng, &dims[k].lo, &dims[k].hi);
     }
-    const ScanStats simd = ScanColumns(agg.data(), n, dims.data(), d);
     const ScanStats ref = ScanColumnsScalarRef(agg.data(), n, dims.data(), d);
-    ExpectStatsBitIdentical(simd, ref);
-    if (::testing::Test::HasFailure()) {
-      FAIL() << "diverged at fuzz iteration " << iter << " (n=" << n
-             << ", d=" << d << ")";
+    // kMoments produces the same moments and leaves min/max untouched.
+    ScanStats ref_moments = ref;
+    ref_moments.min = kInf;
+    ref_moments.max = -kInf;
+    for (const Kernel& kernel : kernels) {
+      ExpectStatsBitIdentical(
+          kernel.scan(agg.data(), n, dims.data(), d, AggShape::kFull), ref);
+      ExpectStatsBitIdentical(
+          kernel.scan(agg.data(), n, dims.data(), d, AggShape::kMoments),
+          ref_moments);
+      if (::testing::Test::HasFailure()) {
+        FAIL() << kernel.name << " diverged at fuzz iteration " << iter
+               << " (n=" << n << ", d=" << d << ")";
+      }
     }
   }
 }
