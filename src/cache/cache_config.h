@@ -1,7 +1,6 @@
 #ifndef PASS_CACHE_CACHE_CONFIG_H_
 #define PASS_CACHE_CACHE_CONFIG_H_
 
-#include <chrono>
 #include <cstddef>
 
 namespace pass {
@@ -15,20 +14,11 @@ struct CacheConfig {
   /// cache structures exist at all.
   bool enabled = false;
 
-  /// Capacity of the exact-match tier (whole answers keyed by canonical
-  /// predicate rectangle), per single/multi sub-tier. Insertion-order
-  /// (FIFO) eviction keeps the read path under a shared lock.
+  /// Capacity of the cache (whole answers keyed by canonical predicate
+  /// rectangle), per single/multi map. Insertion-order (FIFO) eviction
+  /// keeps the read path under a shared lock. Entries otherwise live
+  /// until a dataset-version change flushes them.
   size_t max_exact_entries = 4096;
-
-  /// Capacity of each covered-node tier (per-node AggregateStats, one
-  /// tier per member tree of the engine).
-  size_t max_node_entries = 1 << 16;
-
-  /// Time-to-live of exact-tier entries; zero means entries live until
-  /// evicted by capacity or flushed by a dataset-version change. The
-  /// covered-node tier has no TTL: node aggregates are exact for a given
-  /// dataset version and only invalidate with it.
-  std::chrono::milliseconds ttl{0};
 };
 
 }  // namespace pass

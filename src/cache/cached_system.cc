@@ -8,7 +8,6 @@ CachedSystem::CachedSystem(std::unique_ptr<AqpSystem> inner,
                            const Dataset& data, const CacheConfig& config)
     : cache_(config), inner_(std::move(inner)), data_(&data) {
   cache_.EnsureVersion(data_->version());
-  inner_->AttachCoveredNodeCache(&cache_);
 }
 
 QueryAnswer CachedSystem::AnswerImpl(const Query& query,

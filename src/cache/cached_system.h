@@ -12,21 +12,19 @@ namespace pass {
 
 /// The decorator the registry wraps an engine in when EngineConfig::cache
 /// is enabled: a transparent AqpSystem that serves repeat predicates from
-/// the exact-match tier, routes the inner engine's covered-node reads
-/// through per-tree tiers, and flushes everything when the dataset-version
-/// stamp moves.
+/// the semantic answer cache and flushes it when the dataset-version stamp
+/// moves.
 ///
 /// Transparency is the contract: Name/Costs/SupportsBudget forward
 /// unchanged, and every answer is bit-identical to the bare engine's at
-/// the same seed and budget. The exact tier therefore only participates
-/// in unbudgeted answers — with an unlimited budget an answer is a
+/// the same seed and budget. The cache therefore only participates in
+/// unbudgeted answers — with an unlimited budget an answer is a
 /// deterministic function of the predicate alone — while budgeted and
 /// deadline answers always reach the inner engine (their bits depend on
 /// budget and seed, which the key deliberately omits).
 ///
 /// Lifetime: the wrapped dataset must outlive this system (same rule as
-/// the registry's bare engines); the cache outlives the inner engine by
-/// member order, so tier pointers held by inner synopses stay valid.
+/// the registry's bare engines).
 ///
 /// Thread safety: this decorator holds no lock of its own, deliberately
 /// — all shared mutable state lives in cache_, whose every entry point
@@ -47,9 +45,6 @@ class CachedSystem final : public AqpSystem {
   const KernelCache* ScanKernelCache() const override {
     return inner_->ScanKernelCache();
   }
-  void AttachCoveredNodeCache(CoveredCacheHost* host) override {
-    inner_->AttachCoveredNodeCache(host);
-  }
 
   SemanticAnswerCache& cache() const { return cache_; }
   const AqpSystem& inner() const { return *inner_; }
@@ -59,14 +54,11 @@ class CachedSystem final : public AqpSystem {
                          const AnswerOptions& options) const override;
   MultiAnswer AnswerMultiImpl(const Rect& predicate,
                               const AnswerOptions& options) const override;
-  /// Sessions refine under explicit budgets, so they bypass the exact
-  /// tier; their covered-node reads still flow through the tiers.
+  /// Sessions refine under explicit budgets, so they bypass the cache.
   std::unique_ptr<EstimationSession> StartSessionImpl(
       const Rect& predicate, uint64_t seed) const override;
 
  private:
-  // Declared before inner_: the inner engine's tier pointers must die
-  // before the cache that owns the tiers.
   mutable SemanticAnswerCache cache_;
   std::unique_ptr<AqpSystem> inner_;
   const Dataset* data_;

@@ -4,43 +4,6 @@
 
 namespace pass {
 
-AggregateStats CoveredNodeTier::Get(const PartitionTree& tree, int32_t node) {
-  {
-    ReaderLock lock(mu_);
-    auto it = map_.find(node);
-    if (it != map_.end()) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      return it->second;
-    }
-  }
-  // Read-through: the tree is the ground truth, and the cached copy is the
-  // same bits, so answers never depend on whether this was a hit.
-  const AggregateStats stats = tree.node(node).stats;
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  if (max_entries_ == 0) return stats;
-  WriterLock lock(mu_);
-  if (map_.emplace(node, stats).second) {
-    fifo_.push_back(node);
-    while (map_.size() > max_entries_) {
-      map_.erase(fifo_.front());
-      fifo_.pop_front();
-      evictions_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  return stats;
-}
-
-void CoveredNodeTier::Flush() {
-  WriterLock lock(mu_);
-  map_.clear();
-  fifo_.clear();
-}
-
-size_t CoveredNodeTier::entries() const {
-  ReaderLock lock(mu_);
-  return map_.size();
-}
-
 SemanticAnswerCache::SemanticAnswerCache(const CacheConfig& config)
     : config_(config) {}
 
@@ -53,36 +16,29 @@ SemanticAnswerCache::ExactKey SemanticAnswerCache::MakeKey(
   return key;
 }
 
-bool SemanticAnswerCache::Expired(
-    std::chrono::steady_clock::time_point inserted) const {
-  if (config_.ttl.count() == 0) return false;
-  return std::chrono::steady_clock::now() - inserted > config_.ttl;
-}
-
 template <typename Answer>
 std::optional<Answer> SemanticAnswerCache::LookupLocked(
     const ExactMap<Answer>& map, const ExactKey& key) const {
   auto it = map.find(key);
-  if (it == map.end() || Expired(it->second.inserted)) {
+  if (it == map.end()) {
     exact_misses_.fetch_add(1, std::memory_order_relaxed);
     return std::nullopt;
   }
   exact_hits_.fetch_add(1, std::memory_order_relaxed);
-  return it->second.answer;
+  return it->second;
 }
 
 template <typename Answer>
 void SemanticAnswerCache::InsertLocked(ExactMap<Answer>* map,
                                        std::deque<ExactKey>* fifo,
                                        ExactKey key, const Answer& answer) {
-  Entry<Answer> entry{answer, std::chrono::steady_clock::now()};
   auto it = map->find(key);
   if (it != map->end()) {
-    it->second = std::move(entry);  // refresh (e.g. a TTL-expired entry)
+    it->second = answer;  // resident (two concurrent misses both insert)
     return;
   }
   fifo->push_back(key);
-  map->emplace(std::move(key), std::move(entry));
+  map->emplace(std::move(key), answer);
   while (map->size() > config_.max_exact_entries) {
     map->erase(fifo->front());
     fifo->pop_front();
@@ -105,8 +61,8 @@ void SemanticAnswerCache::Insert(const Rect& canonical, AggregateType agg,
 
 std::optional<MultiAnswer> SemanticAnswerCache::LookupMulti(
     const Rect& canonical) const {
-  // The multi tier shares the key shape; the aggregate slot just has to be
-  // stable and distinct per tier, and kSum is as good a tag as any.
+  // The multi map shares the key shape; the aggregate slot just has to be
+  // stable, and kSum is as good a tag as any.
   ReaderLock lock(mu_);
   return LookupLocked(multi_, MakeKey(canonical, AggregateType::kSum));
 }
@@ -144,15 +100,6 @@ void SemanticAnswerCache::FlushLocked() {
   multi_.clear();
   single_fifo_.clear();
   multi_fifo_.clear();
-  for (const auto& tier : tiers_) tier->Flush();
-}
-
-CoveredNodeSource* SemanticAnswerCache::MakeTier() {
-  auto tier = std::make_unique<CoveredNodeTier>(config_.max_node_entries);
-  CoveredNodeTier* out = tier.get();
-  WriterLock lock(mu_);
-  tiers_.push_back(std::move(tier));
-  return out;
 }
 
 CacheStats SemanticAnswerCache::Stats() const {
@@ -163,12 +110,6 @@ CacheStats SemanticAnswerCache::Stats() const {
   out.invalidations = invalidations_.load(std::memory_order_relaxed);
   ReaderLock lock(mu_);
   out.exact_entries = single_.size() + multi_.size();
-  for (const auto& tier : tiers_) {
-    out.node_hits += tier->hits();
-    out.node_misses += tier->misses();
-    out.evictions += tier->evictions();
-    out.node_entries += tier->entries();
-  }
   return out;
 }
 

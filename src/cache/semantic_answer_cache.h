@@ -2,101 +2,53 @@
 #define PASS_CACHE_SEMANTIC_ANSWER_CACHE_H_
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <optional>
 #include <unordered_map>
-#include <vector>
 
 #include "cache/cache_config.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 #include "core/answer.h"
-#include "core/covered_source.h"
 #include "core/query.h"
 #include "geom/rect.h"
 
 namespace pass {
 
-/// One snapshot of the cache's counters, cheap enough to copy onto every
-/// ScheduledAnswer. Counters are cumulative since construction (or the
-/// last explicit reset); per-query deltas are the caller's subtraction.
+/// One snapshot of the cache's counters (SemanticAnswerCache::Stats).
+/// Counters are cumulative since construction; per-query deltas are the
+/// caller's subtraction.
 struct CacheStats {
-  uint64_t exact_hits = 0;    // whole answers served from the exact tier
-  uint64_t exact_misses = 0;  // exact-tier probes that fell through
-  uint64_t node_hits = 0;     // covered-node aggregates served from tiers
-  uint64_t node_misses = 0;   // covered-node reads that went to the tree
-  uint64_t evictions = 0;     // capacity evictions, both tiers
-  uint64_t invalidations = 0; // dataset-version flushes
-  size_t exact_entries = 0;   // resident whole answers (single + multi)
-  size_t node_entries = 0;    // resident node aggregates, all tiers
+  uint64_t exact_hits = 0;    // whole answers served from the cache
+  uint64_t exact_misses = 0;  // probes that fell through
+  // Always 0; kept because perfbench/src/serve_mix.cc:397-398 reads them.
+  uint64_t node_hits = 0;
+  uint64_t node_misses = 0;
+  uint64_t evictions = 0;      // capacity evictions
+  uint64_t invalidations = 0;  // dataset-version flushes
+  size_t exact_entries = 0;    // resident whole answers (single + multi)
 };
 
-/// The covered-node tier: a bounded, read-through map from partition-tree
-/// node id to that node's exact AggregateStats. Values are copies of
-/// tree.node(id).stats, so estimates assembled through the tier are
-/// bit-identical to direct tree reads — the tier's work today is
-/// hit/miss accounting and overlap reuse across predicates; its purpose
-/// is to be the node store an out-of-core tree reads through. Node ids
-/// are tree-local, so every member tree of an engine gets its own tier
-/// (SemanticAnswerCache::MakeTier). Thread-safe: lookups take a shared
-/// lock, inserts a unique one; eviction is insertion-order (FIFO) so hits
-/// never need the exclusive lock.
-class CoveredNodeTier final : public CoveredNodeSource {
- public:
-  explicit CoveredNodeTier(size_t max_entries) : max_entries_(max_entries) {}
-
-  // (EXCLUDES(mu_) in spirit; virt-specifier + attribute placement is
-  // compiler-shaky, and the analysis verifies the internal locking anyway.)
-  AggregateStats Get(const PartitionTree& tree, int32_t node) override;
-
-  void Flush() EXCLUDES(mu_);
-  uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
-  uint64_t evictions() const {
-    return evictions_.load(std::memory_order_relaxed);
-  }
-  size_t entries() const EXCLUDES(mu_);
-
- private:
-  const size_t max_entries_;
-  mutable SharedMutex mu_;
-  std::unordered_map<int32_t, AggregateStats> map_ GUARDED_BY(mu_);
-  // Insertion order, for capacity eviction.
-  std::deque<int32_t> fifo_ GUARDED_BY(mu_);
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
-  std::atomic<uint64_t> evictions_{0};
-};
-
-/// The semantic answer cache behind EngineConfig::cache: reuse across
-/// repeated and overlapping predicate rectangles, in two tiers.
+/// The semantic answer cache behind EngineConfig::cache: whole QueryAnswer
+/// / MultiAnswer values keyed by (canonical predicate rectangle,
+/// aggregate), so repeated predicates skip the engine.
 ///
-///  * Exact-match tier — whole QueryAnswer / MultiAnswer values keyed by
-///    (canonical predicate rectangle, aggregate). Only unbudgeted answers
-///    enter it: with an unlimited budget an answer is a deterministic
-///    function of the predicate alone (the seed only orders work the
-///    budget might exclude), so a hit replays the exact bits a fresh
-///    evaluation would produce. Budgeted and deadline answers bypass the
-///    tier entirely.
+/// Only unbudgeted answers enter it: with an unlimited budget an answer
+/// is a deterministic function of the predicate and the dataset version
+/// (the seed only orders work the budget might exclude), so a hit replays
+/// the exact bits a fresh evaluation would produce. Budgeted and deadline
+/// answers bypass the cache entirely.
 ///
-///  * Covered-node tier — per-node exact aggregates (CoveredNodeTier
-///    above), shared by every query whose MCF frontier covers the node,
-///    which is how overlapping-but-different rectangles reuse each
-///    other's covered mass.
-///
-/// Both tiers flush together when the dataset-version stamp changes
-/// (EnsureVersion), size-bound with FIFO eviction, and serve concurrent
-/// readers under shared locks. The cache implements CoveredCacheHost so
-/// an engine's member trees can request their tiers during attachment.
-class SemanticAnswerCache final : public CoveredCacheHost {
+/// The cache flushes when the dataset-version stamp changes
+/// (EnsureVersion), is size-bound with FIFO eviction, and serves
+/// concurrent readers under a shared lock.
+class SemanticAnswerCache final {
  public:
   explicit SemanticAnswerCache(const CacheConfig& config);
 
-  /// Exact tier. `canonical` must be Rect::Canonical() of the predicate
-  /// (the caller canonicalizes once and reuses the rect for the insert).
+  /// `canonical` must be Rect::Canonical() of the predicate (the caller
+  /// canonicalizes once and reuses the rect for the insert).
   std::optional<QueryAnswer> Lookup(const Rect& canonical,
                                     AggregateType agg) const EXCLUDES(mu_);
   void Insert(const Rect& canonical, AggregateType agg,
@@ -106,16 +58,13 @@ class SemanticAnswerCache final : public CoveredCacheHost {
   void InsertMulti(const Rect& canonical, const MultiAnswer& answer)
       EXCLUDES(mu_);
 
-  /// Stamps the dataset version, flushing BOTH tiers when it changed
-  /// since the last call (counted in CacheStats::invalidations). The
-  /// first call only records the stamp. Returns true when a flush ran.
+  /// Stamps the dataset version, flushing the cache when it changed since
+  /// the last call (counted in CacheStats::invalidations). The first call
+  /// only records the stamp. Returns true when a flush ran.
   bool EnsureVersion(uint64_t version) EXCLUDES(mu_);
 
-  /// Unconditionally empties both tiers (counters are kept).
+  /// Unconditionally empties the cache (counters are kept).
   void Flush() EXCLUDES(mu_);
-
-  // CoveredCacheHost: one covered-node tier per member tree, owned here.
-  CoveredNodeSource* MakeTier() override;
 
   CacheStats Stats() const EXCLUDES(mu_);
   const CacheConfig& config() const { return config_; }
@@ -136,15 +85,9 @@ class SemanticAnswerCache final : public CoveredCacheHost {
     }
   };
   template <typename Answer>
-  struct Entry {
-    Answer answer;
-    std::chrono::steady_clock::time_point inserted;
-  };
-  template <typename Answer>
-  using ExactMap = std::unordered_map<ExactKey, Entry<Answer>, ExactKeyHash>;
+  using ExactMap = std::unordered_map<ExactKey, Answer, ExactKeyHash>;
 
   static ExactKey MakeKey(const Rect& canonical, AggregateType agg);
-  bool Expired(std::chrono::steady_clock::time_point inserted) const;
   /// The lock is taken at the public entries and these run under it
   /// (REQUIRES, not internal locking): passing the guarded maps by
   /// reference into a helper that locks privately hides the access from
@@ -167,7 +110,6 @@ class SemanticAnswerCache final : public CoveredCacheHost {
   std::deque<ExactKey> single_fifo_ GUARDED_BY(mu_);
   std::deque<ExactKey> multi_fifo_ GUARDED_BY(mu_);
   std::optional<uint64_t> dataset_version_ GUARDED_BY(mu_);
-  std::vector<std::unique_ptr<CoveredNodeTier>> tiers_ GUARDED_BY(mu_);
 
   mutable std::atomic<uint64_t> exact_hits_{0};
   mutable std::atomic<uint64_t> exact_misses_{0};

@@ -13,7 +13,6 @@
 
 namespace pass {
 
-class CoveredCacheHost;
 class SemanticAnswerCache;
 
 /// Build-time / space costs of a synopsis, reported alongside accuracy in
@@ -122,22 +121,15 @@ class AqpSystem {
   virtual bool SupportsBudget() const { return false; }
 
   /// The semantic answer cache serving this system, or nullptr when
-  /// answers are computed from scratch every time. The scheduler snapshots
-  /// its counters onto ScheduledAnswer; only the CachedSystem decorator
-  /// overrides this.
+  /// answers are computed from scratch every time. Its Stats() are the
+  /// one cache counter surface; only the CachedSystem decorator overrides
+  /// this.
   virtual const SemanticAnswerCache* AnswerCache() const { return nullptr; }
 
   /// The kernel tier counters this system's scans record into
   /// (jit/kernel_cache.h), or nullptr when its scans go uncounted. Lets
   /// callers assert which ScanColumns instantiation served their scans.
   virtual const KernelCache* ScanKernelCache() const { return nullptr; }
-
-  /// Offers this system a covered-node aggregate cache (see
-  /// core/covered_source.h). Tree-backed systems request one tier per
-  /// member tree from the host and route their covered-aggregate reads
-  /// through it; everything else ignores the offer. The host must outlive
-  /// this system.
-  virtual void AttachCoveredNodeCache(CoveredCacheHost* host) { (void)host; }
 
   virtual std::string Name() const = 0;
   virtual SystemCosts Costs() const = 0;

@@ -8,7 +8,6 @@
 
 #include "common/macros.h"
 #include "common/rng.h"
-#include "core/covered_source.h"
 #include "core/hard_bounds.h"
 
 namespace pass {
@@ -69,7 +68,8 @@ std::vector<uint32_t> SpendOrder(const WorkPlan& plan, uint64_t seed) {
 }
 
 /// Selects which of the plan's units a finite budget admits: units are
-/// visited in the spend-priority order and admitted while their whole
+/// visited in the spend-priority order (built only for a finite budget;
+/// an unlimited one admits everything) and admitted while their whole
 /// cost still fits (partial scans of one leaf's sample would bias the
 /// stratum estimator, so a unit is all-or-nothing); the walk STOPS at the
 /// first nonzero-cost unit that does not fit. The prefix-stop rule trades
@@ -78,19 +78,18 @@ std::vector<uint32_t> SpendOrder(const WorkPlan& plan, uint64_t seed) {
 /// at a larger one, which is what lets a resumable session replay the
 /// order from a checkpoint and still match a fresh run bit for bit.
 /// Zero-cost units always execute — they do no work. Admission is a pure
-/// function of (units, order, cap); the soft deadline is enforced later,
+/// function of (plan, seed, cap); the soft deadline is enforced later,
 /// at scan time, where the clock actually advances.
-std::vector<char> SelectUnits(const std::vector<WorkUnit>& units,
-                              const std::vector<uint32_t>& order,
+std::vector<char> SelectUnits(const WorkPlan& plan, uint64_t seed,
                               const WorkBudget& budget) {
-  std::vector<char> execute(units.size(), 1);
+  std::vector<char> execute(plan.units.size(), 1);
   if (budget.Unlimited()) return execute;
   const uint64_t cap =
       budget.max_scan_units.value_or(std::numeric_limits<uint64_t>::max());
   uint64_t used = 0;
   bool stopped = false;
-  for (const uint32_t i : order) {
-    const uint64_t cost = units[i].cost;
+  for (const uint32_t i : SpendOrder(plan, seed)) {
+    const uint64_t cost = plan.units[i].cost;
     if (cost == 0) continue;  // free: stays admitted
     if (!stopped && used + cost <= cap) {
       used += cost;
@@ -106,17 +105,7 @@ std::vector<char> SelectUnits(const std::vector<WorkUnit>& units,
 /// aggregate merging, and one not-yet-scanned PartialScan record per
 /// partial leaf. Shared by the one-shot executor and the resumable
 /// session so both assemble answers from identical state.
-/// One covered-node aggregate read, through the options' source when one
-/// is attached. The source contract (bit-identical stats) is what keeps
-/// the two branches interchangeable.
-AggregateStats CoveredStatsFor(const PartitionTree& tree, int32_t id,
-                               const EstimatorOptions& opts) {
-  return opts.covered_source ? opts.covered_source->Get(tree, id)
-                             : tree.node(id).stats;
-}
-
-FrontierScan InitFrontierScan(const PartitionTree& tree, WorkPlan plan,
-                              const EstimatorOptions& opts) {
+FrontierScan InitFrontierScan(const PartitionTree& tree, WorkPlan plan) {
   FrontierScan fs;
   fs.frontier = std::move(plan.frontier);
 
@@ -143,10 +132,10 @@ FrontierScan InitFrontierScan(const PartitionTree& tree, WorkPlan plan,
   // Exact side: merge covered aggregates; 0-variance nodes contribute their
   // constant value with their full cardinality (the paper's rule).
   for (const int32_t id : fs.frontier.covered) {
-    fs.covered_stats.Merge(CoveredStatsFor(tree, id, opts));
+    fs.covered_stats.Merge(tree.node(id).stats);
   }
   for (const int32_t id : fs.frontier.zero_var) {
-    fs.covered_stats.Merge(CoveredStatsFor(tree, id, opts));
+    fs.covered_stats.Merge(tree.node(id).stats);
   }
 
   fs.partials.reserve(fs.frontier.partial.size());
@@ -176,9 +165,8 @@ FrontierScan ExecutePlan(const PartitionTree& tree,
                          const Rect& predicate, WorkPlan plan,
                          const EstimatorOptions& opts,
                          const WorkBudget& budget, uint64_t seed) {
-  const std::vector<char> execute =
-      SelectUnits(plan.units, SpendOrder(plan, seed), budget);
-  FrontierScan fs = InitFrontierScan(tree, std::move(plan), opts);
+  const std::vector<char> execute = SelectUnits(plan, seed, budget);
+  FrontierScan fs = InitFrontierScan(tree, std::move(plan));
   QueryAnswer& out = fs.base;
 
   // Scan the admitted stratified samples once, in frontier order — the
@@ -549,7 +537,7 @@ class TreeSession final : public EstimationSession {
         plan_cost_(plan.total_cost),
         units_(plan.units) {
     const std::vector<uint32_t> order = SpendOrder(plan, seed);
-    fs_ = InitFrontierScan(tree_, std::move(plan), opts_);
+    fs_ = InitFrontierScan(tree_, std::move(plan));
     static_base_ = fs_.base;
     // Zero-cost units are admitted at every budget level (they do no
     // work), so scan them up front; the checkpointed walk below meters

@@ -27,7 +27,6 @@ enum class AvgMode {
   kPaperWeights,
 };
 
-class CoveredNodeSource;
 class KernelCache;
 
 /// Estimator configuration shared by the Synopsis and the baselines that
@@ -38,14 +37,6 @@ struct EstimatorOptions {
   bool zero_variance_rule = true;  // Section 3.4, AVG only
   bool use_fpc = true;             // finite population correction
   bool compute_hard_bounds = true;
-
-  /// Read-through source of covered-node aggregates (see
-  /// core/covered_source.h); nullptr reads tree.node(id).stats directly.
-  /// Sources must return the node's exact stats, so estimates are
-  /// bit-identical either way — the indirection exists for the semantic
-  /// answer cache's covered-node tier. Not owned; must outlive every
-  /// answer and session using these options.
-  CoveredNodeSource* covered_source = nullptr;
 
   /// Kernel tier counters every leaf scan records into
   /// (jit/kernel_cache.h); nullptr scans uncounted. Counting never changes

@@ -33,12 +33,6 @@ class Synopsis final : public AqpSystem {
   std::string Name() const override { return name_; }
   SystemCosts Costs() const override;
 
-  /// Routes this synopsis's covered-aggregate reads through one tier
-  /// requested from `host` (see core/covered_source.h). Answers stay
-  /// bit-identical — the source contract returns exact node stats — so
-  /// this is pure serving-layer plumbing.
-  void AttachCoveredNodeCache(CoveredCacheHost* host) override;
-
   /// The rule-OFF WorkPlan of this predicate (the frontier every fused
   /// answer and every non-AVG aggregate uses): one MCF walk, no sample
   /// row touched. What a serving layer uses to price queries, split

@@ -139,9 +139,6 @@ struct EngineConfig {
       return Status::InvalidArgument(
           "an enabled cache needs max_exact_entries >= 1");
     }
-    if (cache.ttl.count() < 0) {
-      return Status::InvalidArgument("cache ttl must be non-negative");
-    }
     return Status::Ok();
   }
 };

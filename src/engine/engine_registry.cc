@@ -165,8 +165,7 @@ Result<std::unique_ptr<AqpSystem>> EngineRegistry::Create(
   Result<std::unique_ptr<AqpSystem>> built = it->second(data, effective);
   if (!built.ok() || !config.cache.enabled) return built;
   // Serve the engine behind the semantic answer cache. The wrapper is
-  // transparent (bit-identical answers, forwarded Name/Costs) and attaches
-  // covered-node tiers to whatever member trees the engine exposes.
+  // transparent (bit-identical answers, forwarded Name/Costs).
   return std::unique_ptr<AqpSystem>(new CachedSystem(
       std::move(built).value(), data, config.cache));
 }

@@ -298,10 +298,6 @@ void QueryScheduler::RunTask(Task* raw) {
     }
   }
   result.total_ms = MillisBetween(task->admitted, SteadyClock::now());
-  if (const SemanticAnswerCache* cache = task->system->AnswerCache()) {
-    result.cache_enabled = true;
-    result.cache = cache->Stats();
-  }
 
   if (task->want_future) task->promise.set_value(result);
   if (task->done) task->done(std::move(result));

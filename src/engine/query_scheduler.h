@@ -8,7 +8,6 @@
 #include <future>
 #include <optional>
 
-#include "cache/semantic_answer_cache.h"
 #include "common/mutex.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
@@ -65,14 +64,6 @@ struct ScheduledAnswer {
   double queue_ms = 0.0;  // admission -> a worker picked the task up
   double run_ms = 0.0;    // the AqpSystem::Answer call alone
   double total_ms = 0.0;  // admission -> resolution (queue + run)
-
-  /// Semantic-answer-cache accounting, filled iff the answering system is
-  /// served behind one (cache_enabled). `cache` is the cache's cumulative
-  /// counter snapshot taken when this submission resolved — cumulative
-  /// rather than per-query because concurrent queries share the counters;
-  /// sequential callers diff consecutive snapshots for per-query deltas.
-  bool cache_enabled = false;
-  CacheStats cache;
 };
 
 /// When a progressive (AnswerUntil) submission may stop refining. The

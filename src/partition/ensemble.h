@@ -37,13 +37,6 @@ class SynopsisEnsemble final : public AqpSystem {
   std::string Name() const override { return "PASS-Ensemble"; }
   SystemCosts Costs() const override;
 
-  /// One covered-node tier per member (node ids are tree-local).
-  void AttachCoveredNodeCache(CoveredCacheHost* host) override {
-    for (auto& member : members_) {
-      member.synopsis->AttachCoveredNodeCache(host);
-    }
-  }
-
   /// Members share one engine-level set of kernel tier counters (see the
   /// registry), so the first member's view is the engine's.
   const KernelCache* ScanKernelCache() const override {

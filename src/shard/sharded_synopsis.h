@@ -54,11 +54,6 @@ class ShardedSynopsis final : public AqpSystem {
   std::string Name() const override { return name_; }
   SystemCosts Costs() const override;
 
-  /// One covered-node tier per shard (node ids are tree-local).
-  void AttachCoveredNodeCache(CoveredCacheHost* host) override {
-    for (auto& shard : shards_) shard->AttachCoveredNodeCache(host);
-  }
-
   /// Shards share one engine-level set of kernel tier counters (the
   /// registry installs the same one into every shard), so the first
   /// shard's view is the engine's.

@@ -1,10 +1,9 @@
 /// The semantic answer cache (EngineConfig::cache): bit-identity of cached
-/// answers across the whole registry, exact-tier hit/miss/evict/TTL
-/// accounting, dataset-version invalidation of both tiers, covered-node
-/// reuse across overlapping predicates, and thread-safety of a shared
-/// cache under concurrent readers (this binary is a TSan CI target).
+/// answers across the whole registry and through resumed sessions,
+/// hit/miss/evict accounting, dataset-version invalidation, and
+/// thread-safety of a shared cache under concurrent readers (this binary
+/// is a TSan CI target).
 
-#include <chrono>
 #include <cmath>
 #include <memory>
 #include <string>
@@ -18,7 +17,6 @@
 #include "core/exact.h"
 #include "data/generators.h"
 #include "engine/engine_registry.h"
-#include "engine/query_scheduler.h"
 #include "tests/test_util.h"
 
 namespace pass {
@@ -52,13 +50,13 @@ std::unique_ptr<AqpSystem> MustCreate(const std::string& name,
   return std::move(engine).value();
 }
 
-/// The query stream every bit-identity case replays: repeats and
-/// overlapping-but-distinct rectangles, so both tiers participate.
+/// The query stream every bit-identity case replays: repeats (cache hits)
+/// and overlapping-but-distinct rectangles (misses).
 std::vector<Rect> OverlappingRects() {
   std::vector<Rect> rects;
   const std::vector<std::pair<double, double>> ranges = {
       {3000.0, 17000.0}, {3000.0, 12000.0}, {5000.0, 17000.0},
-      {3000.0, 17000.0},  // repeat of the first: an exact-tier hit
+      {3000.0, 17000.0},  // repeat of the first: a cache hit
       {1000.0, 9000.0},  {5000.0, 17000.0},  // another repeat
   };
   for (const auto& [lo, hi] : ranges) {
@@ -102,7 +100,7 @@ TEST_P(CacheBitIdentity, AnswersMatchUncachedTwinOverRepeatedStream) {
   EXPECT_EQ(cached->SupportsBudget(), bare->SupportsBudget());
 
   // Two passes over the stream: the second pass serves repeats from the
-  // exact tier, and the bits must not change.
+  // cache, and the bits must not change.
   const std::vector<Rect> rects = OverlappingRects();
   for (int pass = 0; pass < 2; ++pass) {
     for (const Rect& rect : rects) {
@@ -117,7 +115,7 @@ TEST_P(CacheBitIdentity, AnswersMatchUncachedTwinOverRepeatedStream) {
                               bare->AnswerMulti(rect));
     }
   }
-  // The stream's repeats actually exercised the exact tier.
+  // The stream's repeats actually exercised the cache.
   const CacheStats stats = cached->AnswerCache()->Stats();
   EXPECT_GT(stats.exact_hits, 0u);
   EXPECT_GT(stats.exact_misses, 0u);
@@ -158,8 +156,8 @@ INSTANTIATE_TEST_SUITE_P(
                       EngineCase{"sharded_pass", 4}),
     CaseName);
 
-// Resumed sessions on a cached engine refine through the covered-node
-// tier; every rung of the ladder must match the bare engine's session.
+// Sessions on a cached engine bypass the cache and forward to the inner
+// engine; every rung of the ladder must match the bare engine's session.
 class CacheSessionIdentity : public ::testing::TestWithParam<EngineCase> {};
 
 TEST_P(CacheSessionIdentity, ResumedSessionsMatchUncachedTwin) {
@@ -192,12 +190,13 @@ TEST_P(CacheSessionIdentity, ResumedSessionsMatchUncachedTwin) {
 
 INSTANTIATE_TEST_SUITE_P(
     Registry, CacheSessionIdentity,
-    ::testing::Values(EngineCase{"pass"}, EngineCase{"sharded_pass", 2},
+    ::testing::Values(EngineCase{"pass"}, EngineCase{"ensemble"},
+                      EngineCase{"sharded_pass", 2},
                       EngineCase{"sharded_pass", 4}),
     CaseName);
 
 // ---------------------------------------------------------------------------
-// Exact-tier accounting: hits, misses, capacity eviction, TTL expiry
+// Accounting: hits, misses, capacity eviction, re-insertion
 // ---------------------------------------------------------------------------
 
 TEST(SemanticCache, HitMissAndFifoEvictionAccounting) {
@@ -230,31 +229,6 @@ TEST(SemanticCache, HitMissAndFifoEvictionAccounting) {
   EXPECT_EQ(cache->Stats().exact_hits, 2u);
 }
 
-TEST(SemanticCache, TtlExpiryIsAMiss) {
-  CacheConfig config;
-  config.enabled = true;
-  config.ttl = std::chrono::milliseconds(5);
-  SemanticAnswerCache cache(config);
-
-  Rect rect = Rect::All(1);
-  rect.dim(0) = Interval{0.25, 0.75};
-  const Rect canonical = rect.Canonical();
-  QueryAnswer answer;
-  answer.estimate.value = 42.0;
-
-  cache.Insert(canonical, AggregateType::kSum, answer);
-  const auto fresh = cache.Lookup(canonical, AggregateType::kSum);
-  ASSERT_TRUE(fresh.has_value());
-  EXPECT_EQ(fresh->estimate.value, 42.0);
-
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(cache.Lookup(canonical, AggregateType::kSum).has_value());
-
-  // Re-inserting refreshes the entry's clock.
-  cache.Insert(canonical, AggregateType::kSum, answer);
-  EXPECT_TRUE(cache.Lookup(canonical, AggregateType::kSum).has_value());
-}
-
 TEST(SemanticCache, SingleAndMultiEntriesAreKeyedApart) {
   CacheConfig config;
   config.enabled = true;
@@ -267,6 +241,10 @@ TEST(SemanticCache, SingleAndMultiEntriesAreKeyedApart) {
   QueryAnswer sum;
   sum.estimate.value = 7.0;
   cache.Insert(canonical, AggregateType::kSum, sum);
+  // Inserting a resident key again adds no entry and evicts nothing.
+  cache.Insert(canonical, AggregateType::kSum, sum);
+  EXPECT_EQ(cache.Stats().exact_entries, 1u);
+  EXPECT_EQ(cache.Stats().evictions, 0u);
   // Same rect, different aggregate: distinct key.
   EXPECT_FALSE(cache.Lookup(canonical, AggregateType::kCount).has_value());
   // Same rect, multi map: also distinct.
@@ -280,7 +258,7 @@ TEST(SemanticCache, SingleAndMultiEntriesAreKeyedApart) {
 }
 
 // ---------------------------------------------------------------------------
-// Dataset-version invalidation: both tiers flush, stale bits never served
+// Dataset-version invalidation: the cache flushes, stale bits never served
 // ---------------------------------------------------------------------------
 
 TEST(SemanticCache, DatasetVersionChangeFlushesBothTiersAndRefreshes) {
@@ -309,7 +287,7 @@ TEST(SemanticCache, DatasetVersionChangeFlushesBothTiersAndRefreshes) {
   EXPECT_DOUBLE_EQ(after.estimate.value, 101.0);
   const CacheStats stats = cache->Stats();
   EXPECT_EQ(stats.invalidations, 1u);
-  // The flush emptied the tier before the post-append insert repopulated
+  // The flush emptied the cache before the post-append insert repopulated
   // it with exactly the refreshed answer.
   EXPECT_EQ(stats.exact_entries, 1u);
   EXPECT_TRUE(engine->Answer(q).estimate.value == 101.0);
@@ -323,36 +301,6 @@ TEST(SemanticCache, EnsureVersionFirstStampDoesNotCountAsInvalidation) {
   EXPECT_FALSE(cache.EnsureVersion(7));   // unchanged
   EXPECT_TRUE(cache.EnsureVersion(8));    // moved: flush
   EXPECT_EQ(cache.Stats().invalidations, 1u);
-}
-
-// ---------------------------------------------------------------------------
-// Covered-node tier: overlap reuse across distinct predicates
-// ---------------------------------------------------------------------------
-
-TEST(SemanticCache, OverlappingPredicatesReuseCoveredNodes) {
-  const Dataset data = MakeIntelLike(8000, 81);
-  EngineConfig config = BaseConfig();
-  const auto bare = MustCreate("pass", data, config);
-  config.cache.enabled = true;
-  const auto cached = MustCreate("pass", data, config);
-  const SemanticAnswerCache* cache = cached->AnswerCache();
-  ASSERT_NE(cache, nullptr);
-
-  // Two wide rectangles sharing their low edge: distinct exact-tier keys,
-  // but the left part of their MCF frontiers covers the same maximal
-  // subtrees (the predicate domain of MakeIntelLike(n) is [0, n)).
-  const Query a = RangeQueryOnDim(AggregateType::kSum, 1, 0, 1000.0, 7000.0);
-  const Query b = RangeQueryOnDim(AggregateType::kSum, 1, 0, 1000.0, 5000.0);
-
-  ExpectAnswersBitIdentical(cached->Answer(a), bare->Answer(a));
-  const CacheStats first = cache->Stats();
-  EXPECT_GT(first.node_misses, 0u);  // first walk populated the tier
-
-  ExpectAnswersBitIdentical(cached->Answer(b), bare->Answer(b));
-  const CacheStats second = cache->Stats();
-  EXPECT_GT(second.node_hits, 0u)
-      << "the overlapping predicate reused no covered nodes";
-  EXPECT_GT(second.node_entries, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -404,40 +352,6 @@ TEST(SemanticCache, ConcurrentReadersSeeBitIdenticalAnswers) {
 }
 
 // ---------------------------------------------------------------------------
-// Scheduler integration: ScheduledAnswer carries the cache snapshot
-// ---------------------------------------------------------------------------
-
-TEST(SemanticCache, SchedulerReportsCacheCounters) {
-  const Dataset data = MakeIntelLike(6000, 83);
-  EngineConfig config = BaseConfig();
-  const auto bare = MustCreate("pass", data, config);
-  config.cache.enabled = true;
-  const auto cached = MustCreate("pass", data, config);
-
-  QueryScheduler scheduler(/*num_threads=*/2);
-  const Query q = RangeQueryOnDim(AggregateType::kSum, 1, 0, 3000.0, 17000.0);
-
-  ScheduledAnswer plain = scheduler.Submit(*bare, q).get();
-  ASSERT_TRUE(plain.status.ok());
-  EXPECT_FALSE(plain.cache_enabled);
-
-  ScheduledAnswer cold = scheduler.Submit(*cached, q).get();
-  ASSERT_TRUE(cold.status.ok());
-  EXPECT_TRUE(cold.cache_enabled);
-  EXPECT_EQ(cold.cache.exact_misses, 1u);
-  EXPECT_EQ(cold.cache.exact_hits, 0u);
-
-  ScheduledAnswer warm = scheduler.Submit(*cached, q).get();
-  ASSERT_TRUE(warm.status.ok());
-  EXPECT_TRUE(warm.cache_enabled);
-  // Counters are cumulative snapshots; the warm submission's delta over
-  // the cold one is exactly one hit.
-  EXPECT_EQ(warm.cache.exact_hits - cold.cache.exact_hits, 1u);
-  EXPECT_EQ(warm.cache.exact_misses, cold.cache.exact_misses);
-  ExpectAnswersBitIdentical(warm.answer, cold.answer);
-}
-
-// ---------------------------------------------------------------------------
 // Config validation
 // ---------------------------------------------------------------------------
 
@@ -449,13 +363,6 @@ TEST(SemanticCache, ConfigValidationRejectsNonsense) {
   auto no_capacity = EngineRegistry::Global().Create("pass", data, config);
   ASSERT_FALSE(no_capacity.ok());
   EXPECT_EQ(no_capacity.status().code(), StatusCode::kInvalidArgument);
-
-  config = BaseConfig();
-  config.cache.enabled = true;
-  config.cache.ttl = std::chrono::milliseconds(-5);
-  auto negative_ttl = EngineRegistry::Global().Create("pass", data, config);
-  ASSERT_FALSE(negative_ttl.ok());
-  EXPECT_EQ(negative_ttl.status().code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cache/semantic_answer_cache.h"
 #include "common/rng.h"
 #include "core/exact.h"
 #include "data/generators.h"
@@ -143,7 +144,7 @@ TEST(CachedStatistical, CacheHitAnswersKeepCiCoverage) {
         config.cache.enabled = true;
         auto engine = EngineRegistry::Global().Create("pass", data, config);
         PASS_CHECK_MSG(engine.ok(), engine.status().ToString().c_str());
-        (*engine)->Answer(q);  // populates the exact tier
+        (*engine)->Answer(q);  // populates the cache
         const QueryAnswer hit = (*engine)->Answer(q);
         PASS_CHECK((*engine)->AnswerCache()->Stats().exact_hits == 1);
         return hit.estimate;

@@ -22,8 +22,8 @@ know about, because they are *this project's* contracts:
   nondeterminism   No rand()/srand()/time()/std::random_device in src/.
                    Every random stream flows from an explicit uint64 seed
                    (EngineConfig::seed) so answers are replayable;
-                   wall-clock randomness would silently break the exact
-                   answer-cache tier and every golden test.
+                   wall-clock randomness would silently break the
+                   answer cache and every golden test.
 
   naked-mutex      No std::mutex family types outside src/common/mutex.h
                    — use the annotated wrappers so Clang's thread-safety
