@@ -197,8 +197,8 @@ int main() {
 
   // Shard-count sweep: the same workload through "sharded_pass" at growing
   // K under a fair-total budget, so the artifact tracks what sharding buys
-  // (parallel fan-out, smaller per-shard scans) and costs (merge overhead,
-  // per-shard variance addition) across PRs. K=1 is not re-benchmarked:
+  // (smaller per-shard scans) and costs (merge overhead, per-shard
+  // variance addition) across PRs. K=1 is not re-benchmarked:
   // the registry loop above already measured "sharded_pass" at its default
   // num_shards=1, and that row doubles as the sweep baseline (the CI
   // artifact slice keys on the "sharded_pass" prefix).
@@ -251,12 +251,10 @@ int main() {
   shard_table.Print();
 
   // Async concurrent-client sweep: N client threads multiplex one shared
-  // QueryScheduler over a sharded engine (per-shard fan-out nested
-  // underneath), so the artifact tracks how serving throughput scales with
-  // client concurrency — and doubles as a deadlock canary for the
-  // two-level pool handoff at K in {2, 4}. Per-client work is fixed, so
-  // total work grows with the client count and qps measures multiplexing,
-  // not batching.
+  // QueryScheduler over a sharded engine at K in {2, 4}, so the artifact
+  // tracks how serving throughput scales with client concurrency.
+  // Per-client work is fixed, so total work grows with the client count
+  // and qps measures multiplexing, not batching.
   TablePrinter async_table(
       {"clients", "shards", "p50_ms", "p95_ms", "qps", "threads"});
   {
@@ -492,12 +490,10 @@ int main() {
     for (const size_t k : {size_t{1}, size_t{4}}) {
       EngineConfig shard_config = config;
       shard_config.num_shards = k;
-      // 4x the paper's sampling budget, sequential per-shard answering:
-      // the sweep measures what budgeting the scan buys, so the scan —
-      // not walk/split overhead or fan-out dispatch jitter — must carry
+      // 4x the paper's sampling budget: the sweep measures what budgeting
+      // the scan buys, so the scan — not walk/split overhead — must carry
       // the latency (it also makes the 25-vs-100 delta robustly visible).
       shard_config.sample_rate = 4 * kSampleRate;
-      shard_config.shard_parallel = false;
       const std::unique_ptr<AqpSystem> engine =
           MustMakeEngine("sharded_pass", data, shard_config);
       std::vector<uint64_t> plans;
@@ -558,11 +554,9 @@ int main() {
     for (const size_t k : {size_t{1}, size_t{2}, size_t{4}}) {
       EngineConfig shard_config = config;
       shard_config.num_shards = k;
-      // Same rig as the anytime sweep above: a heavier scan and
-      // sequential per-shard answering keep the resume-vs-restart delta
-      // (a pure scan-work delta) above dispatch noise.
+      // Same rig as the anytime sweep above: a heavier scan keeps the
+      // resume-vs-restart delta (a pure scan-work delta) above noise.
       shard_config.sample_rate = 4 * kSampleRate;
-      shard_config.shard_parallel = false;
       const std::unique_ptr<AqpSystem> engine =
           MustMakeEngine("sharded_pass", data, shard_config);
       std::vector<uint64_t> plans;

@@ -1,7 +1,5 @@
 /// Async serving tour: one QueryScheduler multiplexing N concurrent
-/// clients onto a single worker pool, over a sharded PASS engine whose
-/// per-shard fan-out nests on its own pool underneath (the two-level
-/// handoff that makes scheduler x shard concurrency deadlock-free).
+/// clients onto a single worker pool, over a sharded PASS engine.
 ///
 /// Each client submits its own query stream with a mixed deadline policy —
 /// some requests are latency-critical (tight deadline: the scheduler

@@ -1,15 +1,15 @@
 /// Sharded serving tour: split one dataset across K PASS synopses, answer
 /// the same workload through the "sharded_pass" engine at growing shard
 /// counts, and watch the merge algebra at work — merged estimates, summed
-/// variances, combined hard bounds, and bit-identical answers between the
-/// sequential and parallel per-shard paths.
+/// variances and combined hard bounds.
 ///
 /// The workload is served through the QueryScheduler (submit all futures,
 /// wait all), so the sweep exercises the same async core a server
-/// front-end uses, nested over the per-shard fan-out pool.
+/// front-end uses; each scheduler worker answers every shard of its query.
 ///
 /// Usage: sharded_serving [rows] [queries] [max_shards]
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -28,7 +28,6 @@
 #include "engine/query_scheduler.h"
 #include "harness/metrics.h"
 #include "harness/table_printer.h"
-#include "shard/sharded_synopsis.h"
 
 namespace {
 
@@ -70,9 +69,8 @@ int main(int argc, char** argv) {
 
   std::printf(
       "sharding %zu rows, serving %zu queries per shard count "
-      "(%zu scheduler threads, %zu shard threads)\n\n",
-      data.NumRows(), queries.size(), scheduler.num_threads(),
-      ParallelShardExecutor::Shared().num_threads());
+      "(%zu scheduler threads)\n\n",
+      data.NumRows(), queries.size(), scheduler.num_threads());
 
   // 1) The sweep: same budget, more shards, served asynchronously —
   //    submit every query as a future, then wait on them all.
@@ -135,19 +133,5 @@ int main(int argc, char** argv) {
                 *merged.hard_ub);
   }
   std::printf("skip rate across shards: %.1f%%\n", 100.0 * merged.SkipRate());
-
-  // 3) Scheduling never changes an answer: per-shard fan-out vs. a
-  //    sequential shard loop are bit-for-bit identical.
-  auto* sharded = dynamic_cast<ShardedSynopsis*>(engine->get());
-  if (sharded != nullptr) {
-    sharded->set_executor(nullptr);  // sequential per-shard loop
-    const QueryAnswer sequential = sharded->Answer(q);
-    std::printf("sequential == parallel answer: %s\n",
-                sequential.estimate.value == merged.estimate.value &&
-                        sequential.estimate.variance ==
-                            merged.estimate.variance
-                    ? "yes (bit-identical)"
-                    : "NO — report a bug");
-  }
   return 0;
 }

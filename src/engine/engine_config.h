@@ -90,10 +90,6 @@ struct EngineConfig {
   /// Predicate column the range/hash shard strategies key on.
   size_t shard_dim = 0;
 
-  /// Fan per-shard query work onto the shared ParallelShardExecutor pool
-  /// (answers are bit-identical to the sequential path either way).
-  bool shard_parallel = true;
-
   /// Query templates for the "ensemble" engine: one PASS member is built
   /// per template over exactly these partition dims, with a fair-total
   /// budget split. Empty = one 1-D member per predicate column.

@@ -93,12 +93,8 @@ SystemResult MakeShardedPass(const Dataset& data,
   options.base = PassBuildOptions(config);
   Result<ShardedSynopsis> built = BuildShardedSynopsis(data, options);
   if (!built.ok()) return built.status();
-  auto system =
-      std::make_unique<ShardedSynopsis>(std::move(built).value());
-  if (config.shard_parallel) {
-    system->set_executor(&ParallelShardExecutor::Shared());
-  }
-  return std::unique_ptr<AqpSystem>(std::move(system));
+  return std::unique_ptr<AqpSystem>(
+      new ShardedSynopsis(std::move(built).value()));
 }
 
 SystemResult MakeEnsemble(const Dataset& data, const EngineConfig& config) {

@@ -175,11 +175,9 @@ struct SchedulerOptions {
 /// WorkBudget at dispatch (see SubmitOptions::deadline), trading CI width
 /// for latency rather than shedding the query.
 ///
-/// Composition with the per-shard fan-out: sharded engines block inside
-/// Answer on the *separate* ParallelShardExecutor pool, so scheduler
-/// workers never wait on tasks queued behind themselves — the two-level
-/// handoff (scheduler pool -> shard pool) is deadlock-free by
-/// construction at any client count and shard count.
+/// Sharded engines answer every shard member on the worker that runs the
+/// query, so a worker never waits on another pool and scheduler
+/// concurrency is the only concurrency inside a sharded answer.
 ///
 /// Lifetime: the AqpSystem reference passed to Submit must stay alive
 /// until that submission resolves (Drain()/Shutdown() are the fences

@@ -157,24 +157,12 @@ QueryAnswer ShardedSynopsis::AnswerImpl(const Query& query,
   if (options.budget.Unlimited()) {
     // The unlimited path answers in full with no split overhead (none of
     // the budgeted plan handoff below).
-    const auto answer_shard = [&](size_t i) {
-      parts[i] = shards_[i]->Answer(query);
-    };
-    if (executor_ != nullptr) {
-      executor_->ForEachShard(k, answer_shard);
-    } else {
-      for (size_t i = 0; i < k; ++i) answer_shard(i);
-    }
+    for (size_t i = 0; i < k; ++i) parts[i] = shards_[i]->Answer(query);
   } else {
     BudgetedFanOut fan = PrepareBudgetedFanOut(query.predicate, options);
-    const auto answer_shard = [&](size_t i) {
+    for (size_t i = 0; i < k; ++i) {
       parts[i] = shards_[i]->AnswerOverPlan(std::move(fan.plans[i]), query,
                                             fan.options[i]);
-    };
-    if (executor_ != nullptr) {
-      executor_->ForEachShard(k, answer_shard);
-    } else {
-      for (size_t i = 0; i < k; ++i) answer_shard(i);
     }
   }
   return MergeShardAnswers(query.agg, parts);
@@ -188,24 +176,14 @@ MultiAnswer ShardedSynopsis::AnswerMultiImpl(
   const size_t k = shards_.size();
   std::vector<MultiAnswer> parts(k);
   if (options.budget.Unlimited()) {
-    const auto answer_shard = [&](size_t i) {
+    for (size_t i = 0; i < k; ++i) {
       parts[i] = shards_[i]->AnswerMulti(predicate);
-    };
-    if (executor_ != nullptr) {
-      executor_->ForEachShard(k, answer_shard);
-    } else {
-      for (size_t i = 0; i < k; ++i) answer_shard(i);
     }
   } else {
     BudgetedFanOut fan = PrepareBudgetedFanOut(predicate, options);
-    const auto answer_shard = [&](size_t i) {
+    for (size_t i = 0; i < k; ++i) {
       parts[i] = shards_[i]->AnswerMultiOverPlan(std::move(fan.plans[i]),
                                                  predicate, fan.options[i]);
-    };
-    if (executor_ != nullptr) {
-      executor_->ForEachShard(k, answer_shard);
-    } else {
-      for (size_t i = 0; i < k; ++i) answer_shard(i);
     }
   }
   return MergeShardMulti(parts);

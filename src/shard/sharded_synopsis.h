@@ -21,8 +21,10 @@ namespace pass {
 /// shard extrema — hard bounds stay deterministic through the merge.
 ///
 /// With one shard this is exactly a plain PASS synopsis (answers are
-/// delegated unmerged, bit for bit). Per-shard work can be fanned onto a
-/// ParallelShardExecutor; answers are identical either way.
+/// delegated unmerged, bit for bit). Shard members are answered in index
+/// order on the calling thread: one member's plan and estimate take a few
+/// microseconds, less than handing it to another thread costs, so the
+/// only concurrency is many callers each walking every shard.
 class ShardedSynopsis final : public AqpSystem {
  public:
   ShardedSynopsis() = default;
@@ -40,14 +42,8 @@ class ShardedSynopsis final : public AqpSystem {
   /// Total rows across all shards.
   uint64_t NumRows() const;
 
-  /// Fans per-shard answering onto `executor` (nullptr = sequential).
-  /// The executor must outlive the synopsis and must not share a pool
-  /// with a BatchExecutor answering through this synopsis (see
-  /// ParallelShardExecutor's deadlock note).
-  void set_executor(const ParallelShardExecutor* executor) {
-    executor_ = executor;
-  }
-  const ParallelShardExecutor* executor() const { return executor_; }
+  /// Always nullptr; kept only because perfbench/src/serve_mix.cc reads it.
+  const ParallelShardExecutor* executor() const { return nullptr; }
 
   // AqpSystem:
   bool SupportsBudget() const override { return true; }
@@ -97,10 +93,8 @@ class ShardedSynopsis final : public AqpSystem {
                               const AnswerOptions& options) const override;
   /// Resumable fused estimation across shards: one member session per
   /// shard, advanced along the same global interleaved order the budgeted
-  /// fan-out admits from, merged with MergeShardMulti. Advances run
-  /// sequentially (refinement deltas are small; the fan-out executor
-  /// stays with the one-shot paths). K = 1 delegates to the single
-  /// shard's session unmerged.
+  /// fan-out admits from, merged with MergeShardMulti. K = 1 delegates to
+  /// the single shard's session unmerged.
   std::unique_ptr<EstimationSession> StartSessionImpl(
       const Rect& predicate, uint64_t seed) const override;
 
@@ -119,7 +113,6 @@ class ShardedSynopsis final : public AqpSystem {
                                        const AnswerOptions& options) const;
 
   std::vector<std::unique_ptr<Synopsis>> shards_;
-  const ParallelShardExecutor* executor_ = nullptr;
   std::string name_ = "Sharded-PASS";
 };
 

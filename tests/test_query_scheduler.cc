@@ -1,11 +1,11 @@
 /// The async serving core's contract: futures and callbacks deliver
 /// answers bit-for-bit identical to the synchronous path (for every
-/// registry engine, and for sharded engines whose per-shard fan-out nests
-/// under scheduler concurrency); deadlines convert into anytime work
-/// budgets on budget-capable engines (zero budget — pure bounds — once
-/// expired in the queue) and shed queued work only on engines without an
-/// anytime path, never truncating a running query; backpressure bounds
-/// the in-flight set; and Drain()/Shutdown() are graceful.
+/// registry engine, and for sharded engines answered by many scheduler
+/// workers at once); deadlines convert into anytime work budgets on
+/// budget-capable engines (zero budget — pure bounds — once expired in
+/// the queue) and shed queued work only on engines without an anytime
+/// path, never truncating a running query; backpressure bounds the
+/// in-flight set; and Drain()/Shutdown() are graceful.
 
 #include "engine/query_scheduler.h"
 
@@ -27,6 +27,7 @@
 namespace pass {
 namespace {
 
+using testing::AnswersBitIdentical;
 using testing::ExpectAnswersBitIdentical;
 using testing::RangeQueryOnDim;
 
@@ -136,10 +137,9 @@ TEST(QueryScheduler, EveryRegistryEngineMatchesSynchronousPath) {
 }
 
 /// The test_shard_batch pattern extended to the scheduler: sharded engines
-/// at K in {1, 2, 4}, per-shard fan-out enabled, answered through a
-/// 4-worker scheduler — bit-identical to the sequential loop, proving the
-/// two-level handoff (scheduler pool -> shard pool) neither deadlocks nor
-/// perturbs a single bit.
+/// at K in {1, 2, 4}, answered through a 4-worker scheduler where each
+/// worker walks every shard of its query — bit-identical to the sequential
+/// loop.
 TEST(QueryScheduler, ShardedAnswersBitIdenticalAtK124) {
   const Dataset data = MakeIntelLike(8000, 110);
   const std::vector<Query> queries = MixedWorkload(data, 10, 31);
@@ -165,8 +165,8 @@ TEST(QueryScheduler, ShardedAnswersBitIdenticalAtK124) {
 }
 
 /// Many concurrent producers multiplexed onto one scheduler over sharded
-/// engines: the deadlock-freedom claim under real contention, plus
-/// bit-identity per client.
+/// engines, each worker walking every shard of its query: no deadlock
+/// under real contention, plus bit-identity per client.
 TEST(QueryScheduler, ConcurrentClientsOverShardFanOutNoDeadlock) {
   const Dataset data = MakeIntelLike(6000, 77);
   const std::vector<Query> queries = MixedWorkload(data, 4, 53);
@@ -190,10 +190,7 @@ TEST(QueryScheduler, ConcurrentClientsOverShardFanOutNoDeadlock) {
         for (auto& f : futures) {
           ScheduledAnswer got = f.get();
           if (!got.status.ok() ||
-              got.answer.estimate.value !=
-                  sequential[index].estimate.value ||
-              got.answer.estimate.variance !=
-                  sequential[index].estimate.variance) {
+              !AnswersBitIdentical(got.answer, sequential[index])) {
             ++mismatches;
           }
           ++index;

@@ -11,7 +11,6 @@
 #include "kernel/scan_kernel.h"
 
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <memory>
 #include <string>
@@ -30,16 +29,11 @@
 namespace pass {
 namespace {
 
+using testing::Bits;
 using testing::ExpectAnswersBitIdentical;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
-
-uint64_t Bits(double v) {
-  uint64_t b = 0;
-  std::memcpy(&b, &v, sizeof b);
-  return b;
-}
 
 void ExpectStatsBitIdentical(const ScanStats& a, const ScanStats& b) {
   EXPECT_EQ(a.matched, b.matched);

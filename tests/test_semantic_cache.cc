@@ -22,6 +22,7 @@
 namespace pass {
 namespace {
 
+using testing::AnswersBitIdentical;
 using testing::ExpectAnswersBitIdentical;
 using testing::RangeQueryOnDim;
 
@@ -307,48 +308,53 @@ TEST(SemanticCache, EnsureVersionFirstStampDoesNotCountAsInvalidation) {
 // Concurrency: one shared cache, many readers (TSan target)
 // ---------------------------------------------------------------------------
 
+/// Runs on `pass` and on serve_mix's engine, a cached `sharded_pass` at
+/// K=4 whose readers each walk every shard of their query.
 TEST(SemanticCache, ConcurrentReadersSeeBitIdenticalAnswers) {
   const Dataset data = MakeIntelLike(6000, 82);
-  EngineConfig config = BaseConfig();
-  const auto bare = MustCreate("pass", data, config);
-  config.cache.enabled = true;
-  config.cache.max_exact_entries = 3;  // small: eviction under contention
-  const auto cached = MustCreate("pass", data, config);
+  for (const size_t shards : {size_t{1}, size_t{4}}) {
+    const std::string name = shards == 1 ? "pass" : "sharded_pass";
+    SCOPED_TRACE(name);
+    EngineConfig config = BaseConfig();
+    config.num_shards = shards;
+    const auto bare = MustCreate(name, data, config);
+    config.cache.enabled = true;
+    config.cache.max_exact_entries = 3;  // small: eviction under contention
+    const auto cached = MustCreate(name, data, config);
 
-  const std::vector<Rect> rects = OverlappingRects();
-  std::vector<QueryAnswer> expected;
-  for (const Rect& rect : rects) {
-    Query q;
-    q.agg = AggregateType::kSum;
-    q.predicate = rect;
-    expected.push_back(bare->Answer(q));
-  }
+    const std::vector<Rect> rects = OverlappingRects();
+    std::vector<QueryAnswer> expected;
+    for (const Rect& rect : rects) {
+      Query q;
+      q.agg = AggregateType::kSum;
+      q.predicate = rect;
+      expected.push_back(bare->Answer(q));
+    }
 
-  constexpr size_t kThreads = 4;
-  constexpr size_t kIterations = 50;
-  std::vector<std::thread> threads;
-  std::vector<size_t> mismatches(kThreads, 0);
-  for (size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (size_t i = 0; i < kIterations; ++i) {
-        const size_t pick = (t + i) % rects.size();
-        Query q;
-        q.agg = AggregateType::kSum;
-        q.predicate = rects[pick];
-        const QueryAnswer got = cached->Answer(q);
-        if (got.estimate.value != expected[pick].estimate.value ||
-            got.estimate.variance != expected[pick].estimate.variance) {
-          ++mismatches[t];
+    constexpr size_t kThreads = 4;
+    constexpr size_t kIterations = 50;
+    std::vector<std::thread> threads;
+    std::vector<size_t> mismatches(kThreads, 0);
+    for (size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        for (size_t i = 0; i < kIterations; ++i) {
+          const size_t pick = (t + i) % rects.size();
+          Query q;
+          q.agg = AggregateType::kSum;
+          q.predicate = rects[pick];
+          if (!AnswersBitIdentical(cached->Answer(q), expected[pick])) {
+            ++mismatches[t];
+          }
         }
-      }
-    });
+      });
+    }
+    for (auto& thread : threads) thread.join();
+    for (size_t t = 0; t < kThreads; ++t) {
+      EXPECT_EQ(mismatches[t], 0u) << "thread " << t;
+    }
+    const CacheStats stats = cached->AnswerCache()->Stats();
+    EXPECT_EQ(stats.exact_hits + stats.exact_misses, kThreads * kIterations);
   }
-  for (auto& thread : threads) thread.join();
-  for (size_t t = 0; t < kThreads; ++t) {
-    EXPECT_EQ(mismatches[t], 0u) << "thread " << t;
-  }
-  const CacheStats stats = cached->AnswerCache()->Stats();
-  EXPECT_EQ(stats.exact_hits + stats.exact_misses, kThreads * kIterations);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,9 +1,8 @@
 /// Regression for the sharded serving path: answers for sharded engines
 /// must stay bit-for-bit identical no matter how the work is scheduled —
-/// sequential vs. multi-threaded BatchExecutor pools, and sequential vs.
-/// parallel per-shard fan-out inside the engine. Index-addressed results
-/// plus deterministic merges make every combination equal; this test
-/// pins that.
+/// sequential vs. multi-threaded BatchExecutor pools. Index-addressed
+/// results plus deterministic merges make every pool size equal; this
+/// test pins that.
 
 #include <memory>
 #include <vector>
@@ -21,14 +20,12 @@ namespace {
 
 using testing::ExpectAnswersBitIdentical;
 
-std::unique_ptr<AqpSystem> MakeSharded(const Dataset& data, size_t shards,
-                                       bool parallel) {
+std::unique_ptr<AqpSystem> MakeSharded(const Dataset& data, size_t shards) {
   EngineConfig config;
   config.sample_rate = 0.02;
   config.partitions = 32;
   config.strategy = PartitionStrategy::kEqualDepth;
   config.num_shards = shards;
-  config.shard_parallel = parallel;
   auto engine = EngineRegistry::Global().Create("sharded_pass", data, config);
   PASS_CHECK_MSG(engine.ok(), engine.status().ToString().c_str());
   return std::move(engine).value();
@@ -55,8 +52,7 @@ TEST(ShardedBatch, SequentialAndParallelPoolsAnswerIdentically) {
   const BatchExecutor sequential(1);
   const BatchExecutor parallel(4);
   for (const size_t shards : {size_t{2}, size_t{4}}) {
-    const std::unique_ptr<AqpSystem> engine =
-        MakeSharded(data, shards, /*parallel=*/true);
+    const std::unique_ptr<AqpSystem> engine = MakeSharded(data, shards);
     const BatchResult seq = sequential.Run(*engine, queries);
     const BatchResult par = parallel.Run(*engine, queries);
     ASSERT_EQ(seq.answers.size(), queries.size());
@@ -65,26 +61,6 @@ TEST(ShardedBatch, SequentialAndParallelPoolsAnswerIdentically) {
       SCOPED_TRACE("K=" + std::to_string(shards) + " query " +
                    std::to_string(i) + ": " + queries[i].ToString());
       ExpectAnswersBitIdentical(seq.answers[i], par.answers[i]);
-    }
-  }
-}
-
-TEST(ShardedBatch, ShardFanOutMatchesSequentialShardLoop) {
-  const Dataset data = MakeIntelLike(12000, 111);
-  const std::vector<Query> queries = Workload(data);
-  const BatchExecutor executor(4);
-  for (const size_t shards : {size_t{2}, size_t{4}}) {
-    // Same deterministic build, two scheduling modes for per-shard work.
-    const std::unique_ptr<AqpSystem> fanout =
-        MakeSharded(data, shards, /*parallel=*/true);
-    const std::unique_ptr<AqpSystem> serial =
-        MakeSharded(data, shards, /*parallel=*/false);
-    const BatchResult a = executor.Run(*fanout, queries);
-    const BatchResult b = executor.Run(*serial, queries);
-    for (size_t i = 0; i < queries.size(); ++i) {
-      SCOPED_TRACE("K=" + std::to_string(shards) + " query " +
-                   std::to_string(i) + ": " + queries[i].ToString());
-      ExpectAnswersBitIdentical(a.answers[i], b.answers[i]);
     }
   }
 }

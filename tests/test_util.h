@@ -1,6 +1,9 @@
 #ifndef PASS_TESTS_TEST_UTIL_H_
 #define PASS_TESTS_TEST_UTIL_H_
 
+#include <cstdint>
+#include <cstring>
+#include <optional>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -31,20 +34,28 @@ inline Query RangeQueryOnDim(AggregateType agg, size_t num_dims, size_t dim,
   return q;
 }
 
+/// The IEEE-754 bit pattern of `v`: unlike ==, it tells +0.0 from -0.0
+/// and finds two identical NaNs equal.
+inline uint64_t Bits(double v) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof bits);
+  return bits;
+}
+
 /// Asserts two QueryAnswers are bit-for-bit identical in every field —
 /// the contract behind the K=1 sharding property and the sequential-vs-
-/// parallel serving regressions (EXPECT_EQ on doubles is exact equality).
+/// parallel serving regressions. Doubles compare by bit pattern.
 inline void ExpectAnswersBitIdentical(const QueryAnswer& a,
                                       const QueryAnswer& b) {
-  EXPECT_EQ(a.estimate.value, b.estimate.value);
-  EXPECT_EQ(a.estimate.variance, b.estimate.variance);
+  EXPECT_EQ(Bits(a.estimate.value), Bits(b.estimate.value));
+  EXPECT_EQ(Bits(a.estimate.variance), Bits(b.estimate.variance));
   EXPECT_EQ(a.hard_lb.has_value(), b.hard_lb.has_value());
   EXPECT_EQ(a.hard_ub.has_value(), b.hard_ub.has_value());
   if (a.hard_lb && b.hard_lb) {
-    EXPECT_EQ(*a.hard_lb, *b.hard_lb);
+    EXPECT_EQ(Bits(*a.hard_lb), Bits(*b.hard_lb));
   }
   if (a.hard_ub && b.hard_ub) {
-    EXPECT_EQ(*a.hard_ub, *b.hard_ub);
+    EXPECT_EQ(Bits(*a.hard_ub), Bits(*b.hard_ub));
   }
   EXPECT_EQ(a.exact, b.exact);
   EXPECT_EQ(a.truncated, b.truncated);
@@ -56,6 +67,27 @@ inline void ExpectAnswersBitIdentical(const QueryAnswer& a,
   EXPECT_EQ(a.covered_nodes, b.covered_nodes);
   EXPECT_EQ(a.partial_leaves, b.partial_leaves);
   EXPECT_EQ(a.nodes_visited, b.nodes_visited);
+}
+
+/// The same check as ExpectAnswersBitIdentical, returned instead of
+/// asserted, for threads that tally mismatches.
+inline bool AnswersBitIdentical(const QueryAnswer& a, const QueryAnswer& b) {
+  const auto same_bound = [](const std::optional<double>& x,
+                             const std::optional<double>& y) {
+    return x.has_value() == y.has_value() && (!x || Bits(*x) == Bits(*y));
+  };
+  return Bits(a.estimate.value) == Bits(b.estimate.value) &&
+         Bits(a.estimate.variance) == Bits(b.estimate.variance) &&
+         same_bound(a.hard_lb, b.hard_lb) && same_bound(a.hard_ub, b.hard_ub) &&
+         a.exact == b.exact && a.truncated == b.truncated &&
+         a.population_rows == b.population_rows &&
+         a.population_rows_skipped == b.population_rows_skipped &&
+         a.sample_rows_scanned == b.sample_rows_scanned &&
+         a.matched_sample_rows == b.matched_sample_rows &&
+         a.scan_units_planned == b.scan_units_planned &&
+         a.covered_nodes == b.covered_nodes &&
+         a.partial_leaves == b.partial_leaves &&
+         a.nodes_visited == b.nodes_visited;
 }
 
 }  // namespace testing
