@@ -23,7 +23,6 @@
 #include "core/exact.h"
 #include "data/generators.h"
 #include "data/workload.h"
-#include "engine/batch_executor.h"
 #include "engine/engine_registry.h"
 #include "harness/metrics.h"
 #include "harness/table_printer.h"
@@ -54,9 +53,9 @@ inline constexpr double kSampleRate = 0.005;
 inline constexpr size_t kPartitions = 64;
 inline constexpr double kLambda = 2.576;  // 99% CI
 
-/// Workload evaluation runs through the BatchExecutor; PASS_EVAL_THREADS
-/// picks the pool size (default 1 = the paper's sequential measurements,
-/// 0 = hardware concurrency).
+/// Workload evaluation runs through EvaluateSystem's QueryScheduler;
+/// PASS_EVAL_THREADS picks its worker count (default 1 = the paper's
+/// sequential measurements, 0 = hardware concurrency).
 inline size_t EvalThreads() {
   const char* env = std::getenv("PASS_EVAL_THREADS");
   if (env == nullptr) return 1;

@@ -1,5 +1,5 @@
 /// Serving-path micro benchmark: every registered engine answers the same
-/// workload through the BatchExecutor. Reports per-method build time, p50 /
+/// workload through EvaluateSystem. Reports per-method build time, p50 /
 /// p95 query latency, relative error, and batch throughput at one thread
 /// vs. the full pool, plus kernel timings (MCF index walk, synopsis
 /// construction, streaming insert) backing the complexity claims of
@@ -136,6 +136,48 @@ void WriteJson(const std::string& path, const std::vector<MethodRow>& rows) {
                  ("error flushing " + path).c_str());
 }
 
+/// `clients` threads each submit `per_client` queries (query_of(client,
+/// i)) to the scheduler, then wait for all of theirs. The row reports p50
+/// and p95 over every answer's run_ms and qps over the whole wall time.
+MethodRow ServeClients(
+    QueryScheduler& scheduler, const AqpSystem& engine, size_t clients,
+    size_t per_client,
+    const std::function<const Query&(size_t, size_t)>& query_of) {
+  std::vector<std::vector<double>> client_run_ms(clients);
+  Stopwatch wall;
+  std::vector<std::thread> threads;
+  threads.reserve(clients);
+  for (size_t c = 0; c < clients; ++c) {
+    threads.emplace_back([&, c] {
+      std::vector<std::future<ScheduledAnswer>> futures;
+      futures.reserve(per_client);
+      for (size_t i = 0; i < per_client; ++i) {
+        futures.push_back(scheduler.Submit(engine, query_of(c, i)));
+      }
+      for (auto& f : futures) {
+        ScheduledAnswer answer = f.get();
+        PASS_CHECK_MSG(answer.status.ok(), answer.status.ToString().c_str());
+        client_run_ms[c].push_back(answer.run_ms);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  const double wall_ms = wall.ElapsedMillis();
+
+  std::vector<double> run_ms;
+  for (const auto& per : client_run_ms) {
+    run_ms.insert(run_ms.end(), per.begin(), per.end());
+  }
+  MethodRow row;
+  row.p50_latency_ms = Quantile(run_ms, 0.5);
+  row.p95_latency_ms = Quantile(run_ms, 0.95);
+  row.qps_parallel =
+      wall_ms > 0.0 ? static_cast<double>(run_ms.size()) / (wall_ms / 1e3)
+                    : 0.0;
+  row.parallel_threads = scheduler.num_threads();
+  return row;
+}
+
 }  // namespace
 }  // namespace pass::bench
 
@@ -155,8 +197,33 @@ int main() {
   config.sample_rate = kSampleRate;
   config.partitions = kPartitions;
 
-  const BatchExecutor& sequential = BatchExecutor::Shared(/*num_threads=*/1);
-  const BatchExecutor& parallel = BatchExecutor::Shared(/*num_threads=*/0);
+  // One worker per hardware thread: the async and cache sweeps serve on
+  // it, and the parallel registry rows evaluate on as many workers.
+  QueryScheduler scheduler(/*num_threads=*/0);
+  const EvalOptions sequential;  // one worker
+  EvalOptions parallel;
+  parallel.num_threads = scheduler.num_threads();
+  // Scores one engine at one worker and at every hardware thread.
+  const auto method_row = [&](const std::string& method,
+                              const AqpSystem& engine) {
+    // Untimed warm-up so the sequential-vs-parallel comparison is not
+    // biased by first-touch page-ins landing on whichever runs first.
+    (void)EvaluateSystem(engine, queries, truths, sequential);
+    const RunSummary seq = EvaluateSystem(engine, queries, truths, sequential);
+    const RunSummary par = EvaluateSystem(engine, queries, truths, parallel);
+    MethodRow row;
+    row.method = method;
+    row.build_seconds = seq.costs.build_seconds;
+    row.storage_bytes = seq.costs.storage_bytes;
+    row.p50_latency_ms = seq.p50_latency_ms;
+    row.p95_latency_ms = seq.p95_latency_ms;
+    row.median_rel_error = seq.median_rel_error;
+    row.p95_rel_error = seq.p95_rel_error;
+    row.qps_sequential = seq.batch_qps;
+    row.qps_parallel = par.batch_qps;
+    row.parallel_threads = parallel.num_threads;
+    return row;
+  };
 
   std::vector<MethodRow> rows;
   TablePrinter table({"method", "build_s", "p50_ms", "p95_ms", "med_rel_err",
@@ -164,26 +231,7 @@ int main() {
   for (const std::string& name : EngineRegistry::Global().Names()) {
     const std::unique_ptr<AqpSystem> engine =
         MustMakeEngine(name, data, config);
-
-    // Untimed warm-up so the sequential-vs-parallel comparison is not
-    // biased by first-touch page-ins landing on whichever runs first.
-    (void)sequential.Run(*engine, queries);
-    const BatchResult seq = sequential.Run(*engine, queries);
-    const BatchResult par = parallel.Run(*engine, queries);
-    const BatchErrorSummary err = BatchExecutor::Score(seq, truths);
-    const SystemCosts costs = engine->Costs();
-
-    MethodRow row;
-    row.method = name;
-    row.build_seconds = costs.build_seconds;
-    row.storage_bytes = costs.storage_bytes;
-    row.p50_latency_ms = LatencyQuantileMs(seq, 0.5);
-    row.p95_latency_ms = LatencyQuantileMs(seq, 0.95);
-    row.median_rel_error = err.median_rel_error;
-    row.p95_rel_error = err.p95_rel_error;
-    row.qps_sequential = seq.Throughput();
-    row.qps_parallel = par.Throughput();
-    row.parallel_threads = par.num_threads;
+    const MethodRow row = method_row(name, *engine);
     rows.push_back(row);
 
     table.AddRow({name, FormatDouble(row.build_seconds, 3),
@@ -219,25 +267,9 @@ int main() {
     shard_config.num_shards = k;
     const std::unique_ptr<AqpSystem> engine =
         MustMakeEngine("sharded_pass", data, shard_config);
-    (void)sequential.Run(*engine, queries);
-    const BatchResult seq = sequential.Run(*engine, queries);
-    const BatchResult par = parallel.Run(*engine, queries);
-    const BatchErrorSummary err = BatchExecutor::Score(seq, truths);
-    const SystemCosts costs = engine->Costs();
-
-    MethodRow row;
     char method[32];
     std::snprintf(method, sizeof(method), "sharded_pass_k%zu", k);
-    row.method = method;
-    row.build_seconds = costs.build_seconds;
-    row.storage_bytes = costs.storage_bytes;
-    row.p50_latency_ms = LatencyQuantileMs(seq, 0.5);
-    row.p95_latency_ms = LatencyQuantileMs(seq, 0.95);
-    row.median_rel_error = err.median_rel_error;
-    row.p95_rel_error = err.p95_rel_error;
-    row.qps_sequential = seq.Throughput();
-    row.qps_parallel = par.Throughput();
-    row.parallel_threads = par.num_threads;
+    const MethodRow row = method_row(method, *engine);
     rows.push_back(row);
 
     shard_table.AddRow({std::to_string(k), FormatDouble(row.build_seconds, 3),
@@ -258,7 +290,6 @@ int main() {
   TablePrinter async_table(
       {"clients", "shards", "p50_ms", "p95_ms", "qps", "threads"});
   {
-    QueryScheduler& scheduler = QueryScheduler::Shared(/*num_threads=*/0);
     const size_t per_client = std::max<size_t>(NumQueries() / 8, 16);
     for (const size_t k : {size_t{2}, size_t{4}}) {
       EngineConfig shard_config = config;
@@ -266,45 +297,15 @@ int main() {
       const std::unique_ptr<AqpSystem> engine =
           MustMakeEngine("sharded_pass", data, shard_config);
       for (const size_t clients : {size_t{1}, size_t{8}, size_t{64}}) {
-        std::vector<std::vector<double>> client_run_ms(clients);
-        Stopwatch wall;
-        std::vector<std::thread> threads;
-        threads.reserve(clients);
-        for (size_t c = 0; c < clients; ++c) {
-          threads.emplace_back([&, c] {
-            std::vector<std::future<ScheduledAnswer>> futures;
-            futures.reserve(per_client);
-            for (size_t i = 0; i < per_client; ++i) {
-              futures.push_back(scheduler.Submit(
-                  *engine, queries[(c + i) % queries.size()]));
-            }
-            for (auto& f : futures) {
-              ScheduledAnswer answer = f.get();
-              PASS_CHECK_MSG(answer.status.ok(),
-                             answer.status.ToString().c_str());
-              client_run_ms[c].push_back(answer.run_ms);
-            }
-          });
-        }
-        for (std::thread& t : threads) t.join();
-        const double wall_ms = wall.ElapsedMillis();
-
-        std::vector<double> run_ms;
-        for (const auto& per : client_run_ms) {
-          run_ms.insert(run_ms.end(), per.begin(), per.end());
-        }
-        MethodRow row;
+        MethodRow row = ServeClients(
+            scheduler, *engine, clients, per_client,
+            [&](size_t c, size_t i) -> const Query& {
+              return queries[(c + i) % queries.size()];
+            });
         char method[48];
         std::snprintf(method, sizeof(method), "async_sweep_c%zu_k%zu",
                       clients, k);
         row.method = method;
-        row.p50_latency_ms = Quantile(run_ms, 0.5);
-        row.p95_latency_ms = Quantile(run_ms, 0.95);
-        row.qps_parallel =
-            wall_ms > 0.0
-                ? static_cast<double>(run_ms.size()) / (wall_ms / 1e3)
-                : 0.0;
-        row.parallel_threads = scheduler.num_threads();
         rows.push_back(row);
 
         async_table.AddRow({std::to_string(clients), std::to_string(k),
@@ -326,7 +327,6 @@ int main() {
   // steady state). CI asserts warm-hit p50 < cold p50 per client count.
   TablePrinter cache_table({"clients", "pass", "p50_ms", "p95_ms", "qps"});
   {
-    QueryScheduler& scheduler = QueryScheduler::Shared(/*num_threads=*/0);
     const size_t per_client = std::max<size_t>(NumQueries() / 8, 16);
     for (const size_t clients : {size_t{1}, size_t{8}, size_t{64}}) {
       // Each client owns a disjoint slice of a dedicated query pool, so
@@ -345,45 +345,15 @@ int main() {
           MustMakeEngine("pass", data, cache_config);
       PASS_CHECK(engine->AnswerCache() != nullptr);
       for (const char* pass_name : {"cold", "warm", "hot"}) {
-        std::vector<std::vector<double>> client_run_ms(clients);
-        Stopwatch wall;
-        std::vector<std::thread> threads;
-        threads.reserve(clients);
-        for (size_t c = 0; c < clients; ++c) {
-          threads.emplace_back([&, c] {
-            std::vector<std::future<ScheduledAnswer>> futures;
-            futures.reserve(per_client);
-            for (size_t i = 0; i < per_client; ++i) {
-              futures.push_back(
-                  scheduler.Submit(*engine, pool[c * per_client + i]));
-            }
-            for (auto& f : futures) {
-              ScheduledAnswer answer = f.get();
-              PASS_CHECK_MSG(answer.status.ok(),
-                             answer.status.ToString().c_str());
-              client_run_ms[c].push_back(answer.run_ms);
-            }
-          });
-        }
-        for (std::thread& t : threads) t.join();
-        const double wall_ms = wall.ElapsedMillis();
-
-        std::vector<double> run_ms;
-        for (const auto& per : client_run_ms) {
-          run_ms.insert(run_ms.end(), per.begin(), per.end());
-        }
-        MethodRow row;
+        MethodRow row = ServeClients(
+            scheduler, *engine, clients, per_client,
+            [&](size_t c, size_t i) -> const Query& {
+              return pool[c * per_client + i];
+            });
         char method[48];
         std::snprintf(method, sizeof(method), "cache_sweep_%s_c%zu",
                       pass_name, clients);
         row.method = method;
-        row.p50_latency_ms = Quantile(run_ms, 0.5);
-        row.p95_latency_ms = Quantile(run_ms, 0.95);
-        row.qps_parallel =
-            wall_ms > 0.0
-                ? static_cast<double>(run_ms.size()) / (wall_ms / 1e3)
-                : 0.0;
-        row.parallel_threads = scheduler.num_threads();
         rows.push_back(row);
 
         cache_table.AddRow({std::to_string(clients), pass_name,
@@ -866,6 +836,6 @@ int main() {
       "\nwrote %s (%zu serving rows + %zu kernels, %zu queries, %zu threads "
       "in pool)\n",
       path.c_str(), num_engines, rows.size() - num_engines, queries.size(),
-      parallel.num_threads());
+      scheduler.num_threads());
   return 0;
 }

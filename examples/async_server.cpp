@@ -13,6 +13,7 @@
 ///
 /// Usage: async_server [rows] [clients] [queries_per_client] [shards]
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -87,9 +88,9 @@ int main(int argc, char** argv) {
   // flood of clients backpressures at admission instead of growing an
   // unbounded queue.
   SchedulerOptions scheduler_options;
-  scheduler_options.num_threads = 0;  // hardware
-  scheduler_options.max_in_flight =
-      4 * ThreadPool::ResolveNumThreads(0);
+  scheduler_options.num_threads =
+      std::max(1u, std::thread::hardware_concurrency());
+  scheduler_options.max_in_flight = 4 * scheduler_options.num_threads;
   QueryScheduler scheduler(scheduler_options);
 
   std::printf(

@@ -1,22 +1,23 @@
 /// AqpEngine tour: build every registered engine by name from one shared
-/// EngineConfig, then serve the same query batch through the multi-threaded
-/// BatchExecutor and compare accuracy/latency/throughput. This is the
-/// serving-layer entry point later scaling work (sharding, caching, async)
-/// builds on.
+/// EngineConfig, then serve the same query batch through EvaluateSystem
+/// (a multi-worker QueryScheduler) and compare accuracy/latency/throughput.
+/// This is the serving-layer entry point later scaling work (sharding,
+/// caching, async) builds on.
 ///
 /// Usage: batch_serving [rows] [queries] [threads]
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/parse.h"
 #include "data/generators.h"
 #include "data/workload.h"
-#include "engine/batch_executor.h"
 #include "engine/engine_registry.h"
 #include "harness/metrics.h"
 #include "harness/table_printer.h"
@@ -47,9 +48,11 @@ int main(int argc, char** argv) {
       argc > 1 ? ParseArg(argv[1], "rows", 1, 100'000'000) : 200'000;
   const size_t num_queries =
       argc > 2 ? ParseArg(argv[2], "queries", 1, 1'000'000) : 200;
-  const size_t threads =
-      argc > 3 ? ParseArg(argv[3], "threads", 0, kMaxThreadArg)
-               : 0;  // 0 = hardware
+  size_t threads =
+      argc > 3 ? ParseArg(argv[3], "threads", 0, kMaxThreadArg) : 0;
+  if (threads == 0) {  // one worker per hardware thread
+    threads = std::max(1u, std::thread::hardware_concurrency());
+  }
 
   const Dataset data = MakeTaxiDatetime(rows, /*seed=*/77);
   WorkloadOptions wl;
@@ -61,11 +64,12 @@ int main(int argc, char** argv) {
   EngineConfig config;
   config.sample_rate = 0.005;
   config.partitions = 64;
-  const BatchExecutor executor(threads);
+  EvalOptions eval;
+  eval.num_threads = threads;
   const std::vector<ExactResult> truths = ComputeGroundTruth(data, queries);
 
   std::printf("serving %zu queries over %zu rows with %zu threads\n\n",
-              queries.size(), data.NumRows(), executor.num_threads());
+              queries.size(), data.NumRows(), threads);
 
   TablePrinter table(
       {"engine", "p50_ms", "p95_ms", "median_rel_err", "batch_qps"});
@@ -76,12 +80,11 @@ int main(int argc, char** argv) {
                    engine.status().ToString().c_str());
       return 1;
     }
-    const BatchResult batch = executor.Run(**engine, queries);
-    const BatchErrorSummary err = BatchExecutor::Score(batch, truths);
-    table.AddRow({name, FormatDouble(LatencyQuantileMs(batch, 0.5), 4),
-                  FormatDouble(LatencyQuantileMs(batch, 0.95), 4),
-                  FormatDouble(err.median_rel_error, 4),
-                  FormatDouble(batch.Throughput(), 6)});
+    const RunSummary summary = EvaluateSystem(**engine, queries, truths, eval);
+    table.AddRow({name, FormatDouble(summary.p50_latency_ms, 4),
+                  FormatDouble(summary.p95_latency_ms, 4),
+                  FormatDouble(summary.median_rel_error, 4),
+                  FormatDouble(summary.batch_qps, 6)});
   }
   table.Print();
   return 0;

@@ -3,9 +3,10 @@
 /// counts, and watch the merge algebra at work — merged estimates, summed
 /// variances and combined hard bounds.
 ///
-/// The workload is served through the QueryScheduler (submit all futures,
-/// wait all), so the sweep exercises the same async core a server
-/// front-end uses; each scheduler worker answers every shard of its query.
+/// The workload is served through EvaluateSystem, which submits every
+/// query to a QueryScheduler and waits for all of them, so the sweep
+/// exercises the same async core a server front-end uses; each scheduler
+/// worker answers every shard of its query.
 ///
 /// Usage: sharded_serving [rows] [queries] [max_shards]
 
@@ -13,19 +14,16 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <future>
 #include <memory>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/parse.h"
-#include "common/stopwatch.h"
 #include "data/generators.h"
 #include "data/workload.h"
-#include "engine/batch_executor.h"
 #include "engine/engine_registry.h"
-#include "engine/query_scheduler.h"
 #include "harness/metrics.h"
 #include "harness/table_printer.h"
 
@@ -65,15 +63,15 @@ int main(int argc, char** argv) {
   EngineConfig config;
   config.sample_rate = 0.005;
   config.partitions = 64;
-  QueryScheduler& scheduler = QueryScheduler::Shared(/*num_threads=*/0);
+  EvalOptions eval;
+  eval.num_threads = std::max(1u, std::thread::hardware_concurrency());
 
   std::printf(
       "sharding %zu rows, serving %zu queries per shard count "
       "(%zu scheduler threads)\n\n",
-      data.NumRows(), queries.size(), scheduler.num_threads());
+      data.NumRows(), queries.size(), eval.num_threads);
 
-  // 1) The sweep: same budget, more shards, served asynchronously —
-  //    submit every query as a future, then wait on them all.
+  // 1) The sweep: same budget, more shards, served asynchronously.
   TablePrinter table({"shards", "build_s", "p50_ms", "p95_ms",
                       "median_rel_err", "batch_qps"});
   for (size_t k = 1; k <= max_shards; k *= 2) {
@@ -85,34 +83,13 @@ int main(int argc, char** argv) {
                    engine.status().ToString().c_str());
       return 1;
     }
-    BatchResult batch;
-    batch.num_threads = scheduler.num_threads();
-    batch.answers.resize(queries.size());
-    batch.latency_ms.resize(queries.size());
-    std::vector<std::future<ScheduledAnswer>> futures;
-    futures.reserve(queries.size());
-    Stopwatch wall;
-    for (const Query& q : queries) {
-      futures.push_back(scheduler.Submit(**engine, q));
-    }
-    for (size_t i = 0; i < futures.size(); ++i) {
-      ScheduledAnswer answer = futures[i].get();
-      if (!answer.status.ok()) {
-        std::fprintf(stderr, "query %zu: %s\n", i,
-                     answer.status.ToString().c_str());
-        return 1;
-      }
-      batch.answers[i] = answer.answer;
-      batch.latency_ms[i] = answer.run_ms;
-    }
-    batch.wall_ms = wall.ElapsedMillis();
-    const BatchErrorSummary err = BatchExecutor::Score(batch, truths);
+    const RunSummary summary = EvaluateSystem(**engine, queries, truths, eval);
     table.AddRow({std::to_string(k),
-                  FormatDouble((*engine)->Costs().build_seconds, 3),
-                  FormatDouble(LatencyQuantileMs(batch, 0.5), 4),
-                  FormatDouble(LatencyQuantileMs(batch, 0.95), 4),
-                  FormatDouble(err.median_rel_error, 4),
-                  FormatDouble(batch.Throughput(), 6)});
+                  FormatDouble(summary.costs.build_seconds, 3),
+                  FormatDouble(summary.p50_latency_ms, 4),
+                  FormatDouble(summary.p95_latency_ms, 4),
+                  FormatDouble(summary.median_rel_error, 4),
+                  FormatDouble(summary.batch_qps, 6)});
   }
   table.Print();
 

@@ -14,45 +14,6 @@
 
 namespace pass {
 
-/// How a serving deadline is converted into a WorkBudget at dispatch. The
-/// scheduler maintains an EWMA of the observed per-scan-unit cost (run
-/// milliseconds per sample row scanned, fed by every budget-capable query
-/// it completes) and grants an over-deadline-prone query
-///   floor(remaining_ms * safety_factor / ewma_unit_cost_ms)
-/// scan units, with the deadline itself attached as the soft cutoff.
-/// Shared by SchedulerOptions and anything else pricing deadlines.
-///
-/// This struct itself is immutable configuration (copied into the
-/// scheduler at construction). The *learned* EWMA state it parameterizes
-/// — QueryScheduler::unit_cost_ms_ / overhead_ms_ — is cross-thread
-/// shared and GUARDED_BY(calibration_mu_); all reads go through the
-/// locked Calibrated*Ms() accessors, never a raw member load.
-struct BudgetCalibration {
-  /// Weight of the newest observation in the EWMA. 0 disables learning
-  /// (the initial guess is used forever).
-  double ewma_alpha = 0.2;
-
-  /// Per-scan-unit cost assumed before the first observation, in ms. The
-  /// default (~50ns/row) matches a scalar predicate-match loop on current
-  /// hardware; it only has to be in the right ballpark — the EWMA takes
-  /// over from the first completed query.
-  double initial_unit_cost_ms = 5e-5;
-
-  /// Fraction of the remaining time the unit budget may plan to spend;
-  /// the rest absorbs walk/merge overhead and estimation noise. The soft
-  /// deadline backstops whatever this underestimates.
-  double safety_factor = 0.5;
-
-  /// Fixed per-query overhead assumed before the first observation, in ms
-  /// (MCF walk + split + merge — everything a zero-budget answer still
-  /// pays). Learned as an EWMA of max(run_ms - units * unit_cost, 0) from
-  /// every completed budget-capable query. The admission controller's
-  /// kRejectInfeasible policy sheds a query only when the remaining time
-  /// at admission cannot even cover this floor — i.e. when the zero-budget
-  /// bounds-midpoint answer would itself miss the deadline.
-  double initial_overhead_ms = 0.05;
-};
-
 /// One configuration shared by every engine the registry can construct, so
 /// a serving layer can switch methods without per-method plumbing. Each
 /// engine reads the subset of fields it understands and ignores the rest.

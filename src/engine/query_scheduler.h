@@ -4,9 +4,13 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <future>
+#include <memory>
 #include <optional>
+#include <thread>
+#include <vector>
 
 #include "common/mutex.h"
 #include "common/status.h"
@@ -14,8 +18,6 @@
 #include "core/answer.h"
 #include "core/aqp_system.h"
 #include "core/query.h"
-#include "engine/engine_config.h"
-#include "engine/thread_pool.h"
 
 namespace pass {
 
@@ -36,14 +38,6 @@ struct ScheduledAnswer {
   uint64_t budget_total = 0;
   uint64_t budget_used = 0;
   bool truncated = false;
-
-  /// Scan throughput this run achieved: sample rows scanned per second of
-  /// run_ms (0 when the run scanned nothing — covered/zero-budget answers
-  /// — or for non-budget-capable systems that report no scan work). The
-  /// human-readable twin of the deadline-pricing EWMA's (run_ms, units)
-  /// observation: per-unit cost in ms ≈ 1e3 / scan_rows_per_sec, so a
-  /// drifting calibration is visible directly in submission results.
-  double scan_rows_per_sec = 0.0;
 
   /// Progressive (AnswerUntil) accounting. Intermediate answers streamed
   /// through the callback carry is_final = false; exactly one final answer
@@ -89,35 +83,17 @@ struct StoppingCondition {
   uint64_t min_step_units = 0;
 };
 
-/// What the scheduler does with a deadline submission it cannot serve in
-/// time (see SubmitOptions::admission).
-enum class AdmissionPolicy {
-  /// Never shed a budget-capable query: even an expired-in-queue one runs
-  /// with a zero budget and answers from hard bounds alone. The default,
-  /// and the only behavior before admission control existed.
-  kAlwaysAnswer,
-  /// Shed with kDeadlineExceeded when even the zero-budget answer would
-  /// miss the deadline — i.e. when the remaining time cannot cover the
-  /// calibrated fixed per-query overhead (walk + merge; see
-  /// BudgetCalibration::initial_overhead_ms). Checked at admission and
-  /// again at dispatch. Queries whose deadline affords at least the
-  /// overhead are never shed, no matter how small the granted budget.
-  kRejectInfeasible,
-};
-
 /// Per-submission knobs. The struct is the extension point: new serving
-/// modes add defaulted fields here (stopping conditions, admission
-/// policies) instead of new Submit overloads, so existing two-field
-/// aggregate initializers keep compiling unchanged.
+/// modes add defaulted fields here instead of new Submit overloads.
 struct SubmitOptions {
   /// Relative deadline, measured on the monotonic clock from the moment
   /// Submit admits the query. The policy is *anytime-first*:
   ///
   ///  * Budget-capable systems (AqpSystem::SupportsBudget()) are never
   ///    shed. At dispatch the remaining time is converted into a
-  ///    scan-unit WorkBudget (see BudgetCalibration); a query that
-  ///    expired while queued runs with a zero budget and returns the pure
-  ///    bounds-midpoint answer. Either way the caller gets a valid — if
+  ///    scan-unit WorkBudget at the learned per-unit cost (see
+  ///    CalibratedUnitCostMs); a query that expired while queued runs
+  ///    with a zero budget and returns the pure bounds-midpoint answer. Either way the caller gets a valid — if
   ///    wider — answer, with `truncated`/`budget_*` reporting what was
   ///    sacrificed. Deadline answers are therefore load-dependent; only
   ///    deadline-free submissions carry the bit-identical-to-sync
@@ -135,17 +111,12 @@ struct SubmitOptions {
   /// Progressive mode: refine a resumable estimation until the condition
   /// holds (or the plan is exhausted / the deadline expires). Requires a
   /// budget-capable system and a fused aggregate (SUM/COUNT/AVG); other
-  /// submissions answer once, in full, exactly as without `until`. With a
-  /// callback submission every intermediate answer streams through the
-  /// callback (is_final = false) before the final one; a future receives
-  /// only the final answer. AnswerUntil() is sugar for setting this.
+  /// submissions are answered exactly as without `until`, deadline
+  /// included. With a callback submission every intermediate answer
+  /// streams through the callback (is_final = false) before the final
+  /// one; a future receives only the final answer. AnswerUntil() is sugar
+  /// for setting this.
   std::optional<StoppingCondition> until;
-
-  /// What to do when the deadline is infeasible even for a zero-budget
-  /// answer. Only consulted for deadline submissions to budget-capable
-  /// systems; systems without an anytime path always shed expired work
-  /// (they cannot truncate).
-  AdmissionPolicy admission = AdmissionPolicy::kAlwaysAnswer;
 };
 
 /// Construction-time capacity knobs.
@@ -154,16 +125,13 @@ struct SchedulerOptions {
   size_t num_threads = 0;
   /// Bounded in-flight queue: when this many submissions are admitted but
   /// unresolved, Submit blocks (backpressure on the producer) until a slot
-  /// frees or the scheduler shuts down. 0 = unbounded — what the
-  /// BatchExecutor wrapper uses, since a closed batch is its own bound.
+  /// frees or the scheduler shuts down. 0 = unbounded — what a closed
+  /// batch wants, since it is its own bound.
   size_t max_in_flight = 0;
-
-  /// Deadline-to-WorkBudget conversion parameters (anytime serving).
-  BudgetCalibration calibration;
 };
 
-/// The asynchronous serving core: one pool multiplexing many clients.
-/// `Submit` hands a query to the pool and immediately returns a
+/// The asynchronous serving core: one set of workers multiplexing many
+/// clients. `Submit` queues a query and immediately returns a
 /// std::future (or invokes a completion callback from the worker thread),
 /// so a server front-end can keep thousands of requests in flight with
 /// per-request deadlines. Deadline-free answers stay bit-identical to the
@@ -179,6 +147,10 @@ struct SchedulerOptions {
 /// query, so a worker never waits on another pool and scheduler
 /// concurrency is the only concurrency inside a sharded answer.
 ///
+/// The scheduler owns its workers: the constructor starts them, admission
+/// and the task queue share one mutex (so nothing is queued once shutdown
+/// has begun), and the destructor shuts down and joins them.
+///
 /// Lifetime: the AqpSystem reference passed to Submit must stay alive
 /// until that submission resolves (Drain()/Shutdown() are the fences
 /// callers use before tearing an engine down).
@@ -189,28 +161,18 @@ class QueryScheduler {
   explicit QueryScheduler(const SchedulerOptions& options = {});
   /// Convenience: a scheduler with `num_threads` workers, unbounded queue.
   explicit QueryScheduler(size_t num_threads);
-  ~QueryScheduler();  // Shutdown()
+  ~QueryScheduler();  // Shutdown(), then joins the workers
 
   QueryScheduler(const QueryScheduler&) = delete;
   QueryScheduler& operator=(const QueryScheduler&) = delete;
 
-  /// Process-wide scheduler for the given pool size, created on first use
-  /// and kept for the process lifetime (mirrors BatchExecutor::Shared).
-  /// Thread-safe.
-  static QueryScheduler& Shared(size_t num_threads = 0);
-
-  size_t num_threads() const { return pool_.num_threads(); }
+  size_t num_threads() const { return num_threads_; }
   size_t max_in_flight() const { return max_in_flight_; }
 
   /// Current EWMA of the per-scan-unit cost (ms per sample row) used to
-  /// price deadlines. Starts at the calibration's initial guess and learns
-  /// from every completed budget-capable query. Thread-safe.
+  /// price deadlines. Starts at a fixed initial guess and learns from
+  /// every completed budget-capable query. Thread-safe.
   double CalibratedUnitCostMs() const EXCLUDES(calibration_mu_);
-
-  /// Current EWMA of the fixed per-query overhead (ms a zero-budget
-  /// answer still pays: walk + split + merge). The admission controller's
-  /// kRejectInfeasible floor. Thread-safe.
-  double CalibratedOverheadMs() const EXCLUDES(calibration_mu_);
 
   /// Admitted-but-unresolved submissions right now (queued + running).
   size_t InFlight() const EXCLUDES(mu_);
@@ -225,7 +187,7 @@ class QueryScheduler {
   /// Completion-callback overload: `done` runs on the worker thread that
   /// resolved the submission (including rejection at shutdown, where it
   /// runs on the submitting thread). The callback must not throw and must
-  /// not block on this scheduler's own pool. A progressive submission
+  /// not block on this scheduler's own workers. A progressive submission
   /// (options.until) invokes `done` once per intermediate answer
   /// (is_final = false) and once for the final one.
   void Submit(const AqpSystem& system, Query query,
@@ -255,7 +217,8 @@ class QueryScheduler {
   /// Graceful shutdown: stops admission (subsequent Submits resolve with
   /// kUnavailable), unblocks producers waiting on backpressure, runs every
   /// already-admitted query to completion, and returns once the queue is
-  /// empty. Idempotent; the destructor calls it.
+  /// empty. Idempotent and safe to call concurrently; the destructor
+  /// calls it.
   void Shutdown() EXCLUDES(mu_);
 
  private:
@@ -266,29 +229,37 @@ class QueryScheduler {
                                               const SubmitOptions& options,
                                               Callback done, bool want_future)
       EXCLUDES(mu_);
-  void RunTask(Task* task) EXCLUDES(mu_);
-  /// The progressive (options.until) path of RunTask: session-resumed
-  /// refinement over a doubling budget ladder. Fills everything in
-  /// `result` except total_ms.
-  void RunProgressive(Task* task, ScheduledAnswer* result);
+  /// Pops and runs admitted tasks until shutdown leaves the queue empty.
+  void WorkerLoop() EXCLUDES(mu_);
+  /// Answers one dispatched task. Fills everything in `result` except
+  /// total_ms.
+  void RunTask(const Task& task, ScheduledAnswer* result);
+  /// The progressive (options.until) path of RunTask: `session`-resumed
+  /// refinement over a doubling budget ladder.
+  void RunProgressive(const Task& task, EstimationSession* session,
+                      std::chrono::steady_clock::time_point started,
+                      ScheduledAnswer* result);
   void ObserveUnitCost(double run_ms, uint64_t units)
       EXCLUDES(calibration_mu_);
 
   mutable Mutex mu_;
-  CondVar slot_free_;  // backpressure + drain wakeups
-  size_t in_flight_ GUARDED_BY(mu_) = 0;
+  CondVar slot_free_;   // backpressure + drain wakeups
+  CondVar task_ready_;  // worker wakeups: a task was queued, or shutdown
+  std::deque<std::unique_ptr<Task>> queue_ GUARDED_BY(mu_);
+  size_t in_flight_ GUARDED_BY(mu_) = 0;  // queued + running
   uint64_t next_ticket_ GUARDED_BY(mu_) = 0;
   bool shutdown_ GUARDED_BY(mu_) = false;
+  const size_t num_threads_;
   const size_t max_in_flight_;
-  const BudgetCalibration calibration_;
 
-  /// Deadline-pricing EWMAs, shared by every worker (their own lock so the
+  /// Deadline-pricing EWMA, shared by every worker (its own lock so the
   /// hot admission path never contends with calibration updates).
   mutable Mutex calibration_mu_;
   double unit_cost_ms_ GUARDED_BY(calibration_mu_);
-  double overhead_ms_ GUARDED_BY(calibration_mu_);
 
-  mutable ThreadPool pool_;  // declared last: joins before state above dies
+  // Declared last: the workers start once the state above exists, and the
+  // destructor joins them before it dies.
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace pass

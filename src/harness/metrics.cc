@@ -2,19 +2,61 @@
 
 #include <algorithm>
 #include <cmath>
+#include <future>
+#include <utility>
 
 #include "common/macros.h"
-#include "engine/batch_executor.h"
+#include "common/stopwatch.h"
 #include "engine/exact_system.h"
+#include "engine/query_scheduler.h"
 #include "stats/quantile.h"
 
 namespace pass {
+namespace {
+
+/// Every query's answer and run time, index-aligned with the workload,
+/// plus the whole-batch wall time.
+struct ServedBatch {
+  std::vector<QueryAnswer> answers;
+  std::vector<double> run_ms;
+  double wall_ms = 0.0;
+};
+
+/// Submits every query to a scheduler with `num_threads` workers (0 =
+/// hardware concurrency) and waits for every future. The scheduler is the
+/// serving path a front-end uses, so harness answers are the same bits as
+/// served ones.
+ServedBatch ServeBatch(const AqpSystem& system,
+                       const std::vector<Query>& queries, size_t num_threads) {
+  QueryScheduler scheduler(num_threads);
+  ServedBatch batch;
+  batch.answers.reserve(queries.size());
+  batch.run_ms.reserve(queries.size());
+  std::vector<std::future<ScheduledAnswer>> futures;
+  futures.reserve(queries.size());
+  Stopwatch wall;
+  for (const Query& query : queries) {
+    futures.push_back(scheduler.Submit(system, query));
+  }
+  for (std::future<ScheduledAnswer>& future : futures) {
+    ScheduledAnswer scheduled = future.get();
+    // No deadline was set and the scheduler outlives the batch, so it can
+    // only have resolved with an answer.
+    PASS_CHECK_MSG(scheduled.status.ok(),
+                   scheduled.status.ToString().c_str());
+    batch.answers.push_back(std::move(scheduled.answer));
+    batch.run_ms.push_back(scheduled.run_ms);
+  }
+  batch.wall_ms = wall.ElapsedMillis();
+  return batch;
+}
+
+}  // namespace
 
 std::vector<ExactResult> ComputeGroundTruth(
     const Dataset& data, const std::vector<Query>& queries) {
   const ExactSystem exact(data);
-  const BatchResult batch =
-      BatchExecutor::Shared(/*num_threads=*/0).Run(exact, queries);
+  const ServedBatch batch = ServeBatch(exact, queries, /*num_threads=*/0);
   std::vector<ExactResult> out;
   out.reserve(queries.size());
   for (const QueryAnswer& answer : batch.answers) {
@@ -36,11 +78,7 @@ RunSummary EvaluateSystem(const AqpSystem& system,
   summary.num_queries = queries.size();
   summary.costs = system.Costs();
 
-  // One execution path: Run submits every query to the shared
-  // QueryScheduler and waits on the batch's own futures, so harness
-  // numbers and async serving answers are the same bits.
-  const BatchResult batch =
-      BatchExecutor::Shared(options.num_threads).Run(system, queries);
+  const ServedBatch batch = ServeBatch(system, queries, options.num_threads);
 
   std::vector<double> rel_errors;
   std::vector<double> ci_ratios;
@@ -52,7 +90,7 @@ RunSummary EvaluateSystem(const AqpSystem& system,
 
   for (size_t i = 0; i < queries.size(); ++i) {
     const QueryAnswer& answer = batch.answers[i];
-    const double latency_ms = batch.latency_ms[i];
+    const double latency_ms = batch.run_ms[i];
     latency_acc += latency_ms;
     summary.max_latency_ms = std::max(summary.max_latency_ms, latency_ms);
     skip_acc += answer.SkipRate();
@@ -81,11 +119,11 @@ RunSummary EvaluateSystem(const AqpSystem& system,
   summary.mean_skip_rate = skip_acc / std::max(nq, 1.0);
   summary.mean_ess = ess_acc / std::max(nq, 1.0);
   summary.mean_latency_ms = latency_acc / std::max(nq, 1.0);
-  if (!batch.latency_ms.empty()) {
-    summary.p50_latency_ms = LatencyQuantileMs(batch, 0.5);
-    summary.p95_latency_ms = LatencyQuantileMs(batch, 0.95);
+  if (!batch.run_ms.empty()) {
+    summary.p50_latency_ms = Quantile(batch.run_ms, 0.5);
+    summary.p95_latency_ms = Quantile(batch.run_ms, 0.95);
   }
-  summary.batch_qps = batch.Throughput();
+  if (batch.wall_ms > 0.0) summary.batch_qps = nq / (batch.wall_ms / 1e3);
   if (!rel_errors.empty()) {
     summary.median_rel_error = Median(rel_errors);
     summary.p95_rel_error = Quantile(rel_errors, 0.95);

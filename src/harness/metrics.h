@@ -39,9 +39,9 @@ struct RunSummary {
 
 struct EvalOptions {
   double lambda = 2.576;  // 99%, the paper's default
-  /// Worker count for answering the workload. Evaluation runs through the
-  /// QueryScheduler (via its synchronous BatchExecutor face), so these
-  /// numbers measure the same execution path a server front-end uses.
+  /// Worker count for answering the workload. Evaluation runs through a
+  /// QueryScheduler built for the call, so these numbers measure the same
+  /// execution path a server front-end uses.
   /// Defaults to 1 so per-query latencies stay comparable to the paper's
   /// sequential measurements; 0 = hardware concurrency.
   size_t num_threads = 1;

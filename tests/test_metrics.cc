@@ -4,6 +4,7 @@
 
 #include "data/generators.h"
 #include "data/workload.h"
+#include "engine/engine_registry.h"
 #include "harness/table_printer.h"
 #include "tests/test_util.h"
 
@@ -99,6 +100,60 @@ TEST(Metrics, SkipsZeroTruthQueries) {
   const RunSummary summary = EvaluateSystem(fake, queries, truths);
   EXPECT_EQ(summary.num_scored, 0u);
   EXPECT_EQ(summary.num_queries, 10u);
+}
+
+TEST(Metrics, EmptyWorkloadReportsZeros) {
+  const Dataset data = MakeUniform(1000, 33);
+  const FakeSystem fake(data, 0.0, 0.1);
+  EXPECT_TRUE(ComputeGroundTruth(data, {}).empty());
+  const RunSummary summary = EvaluateSystem(fake, {}, {});
+  EXPECT_EQ(summary.num_queries, 0u);
+  EXPECT_EQ(summary.num_scored, 0u);
+  EXPECT_EQ(summary.median_rel_error, 0.0);
+  EXPECT_EQ(summary.mean_latency_ms, 0.0);
+  EXPECT_EQ(summary.p50_latency_ms, 0.0);
+  EXPECT_EQ(summary.p95_latency_ms, 0.0);
+  EXPECT_EQ(summary.batch_qps, 0.0);
+  EXPECT_EQ(summary.ci_coverage, 0.0);
+  EXPECT_EQ(summary.hard_coverage, 1.0);
+}
+
+/// The worker count changes where a query runs, never what it computes:
+/// a sharded engine scored on 1 and on 4 workers reports the same accuracy
+/// to the bit.
+TEST(Metrics, AccuracyIsIndependentOfWorkerCount) {
+  const Dataset data = MakeIntelLike(8000, 34);
+  EngineConfig config;
+  config.sample_rate = 0.02;
+  config.partitions = 16;
+  config.num_shards = 4;
+  auto engine = EngineRegistry::Global().Create("sharded_pass", data, config);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  WorkloadOptions wl;
+  wl.agg = AggregateType::kAvg;
+  wl.count = 60;
+  wl.seed = 35;
+  const auto queries = RandomRangeQueries(data, wl);
+  const auto truths = ComputeGroundTruth(data, queries);
+
+  EvalOptions one;
+  one.num_threads = 1;
+  EvalOptions four;
+  four.num_threads = 4;
+  const RunSummary a = EvaluateSystem(**engine, queries, truths, one);
+  const RunSummary b = EvaluateSystem(**engine, queries, truths, four);
+  ASSERT_GT(a.num_scored, 0u);
+  EXPECT_EQ(a.num_queries, b.num_queries);
+  EXPECT_EQ(a.num_scored, b.num_scored);
+  EXPECT_EQ(a.median_rel_error, b.median_rel_error);
+  EXPECT_EQ(a.mean_rel_error, b.mean_rel_error);
+  EXPECT_EQ(a.p95_rel_error, b.p95_rel_error);
+  EXPECT_EQ(a.median_ci_ratio, b.median_ci_ratio);
+  EXPECT_EQ(a.mean_skip_rate, b.mean_skip_rate);
+  EXPECT_EQ(a.mean_ess, b.mean_ess);
+  EXPECT_EQ(a.ci_coverage, b.ci_coverage);
+  EXPECT_EQ(a.hard_coverage, b.hard_coverage);
+  EXPECT_EQ(a.hard_given, b.hard_given);
 }
 
 TEST(TablePrinter, RendersAllCells) {

@@ -20,7 +20,6 @@
 
 #include "data/generators.h"
 #include "data/workload.h"
-#include "engine/batch_executor.h"
 #include "engine/engine_registry.h"
 #include "tests/test_util.h"
 
@@ -202,28 +201,6 @@ TEST(QueryScheduler, ConcurrentClientsOverShardFanOutNoDeadlock) {
   }
 }
 
-TEST(QueryScheduler, BatchExecutorIsAThinWrapper) {
-  const Dataset data = MakeIntelLike(6000, 78);
-  const std::vector<Query> queries = MixedWorkload(data, 6, 59);
-  const std::unique_ptr<AqpSystem> engine = MakeEngine(data, "pass");
-
-  const BatchExecutor executor(/*num_threads=*/3);
-  const BatchResult batch = executor.Run(*engine, queries);
-  ASSERT_EQ(batch.answers.size(), queries.size());
-  EXPECT_EQ(executor.num_threads(), executor.scheduler().num_threads());
-
-  // Direct scheduler submissions produce the exact same bits Run() did.
-  std::vector<std::future<ScheduledAnswer>> futures;
-  for (const Query& q : queries) {
-    futures.push_back(executor.scheduler().Submit(*engine, q));
-  }
-  for (size_t i = 0; i < queries.size(); ++i) {
-    ScheduledAnswer got = futures[i].get();
-    ASSERT_TRUE(got.status.ok());
-    ExpectAnswersBitIdentical(got.answer, batch.answers[i]);
-  }
-}
-
 TEST(QueryScheduler, CallbackOverloadDeliversTheSameBits) {
   const Dataset data = MakeUniform(3000, /*seed=*/5, 1.0, 2.0);
   WorkloadOptions wl;
@@ -249,26 +226,6 @@ TEST(QueryScheduler, CallbackOverloadDeliversTheSameBits) {
   for (size_t i = 0; i < queries.size(); ++i) {
     ASSERT_TRUE(delivered[i].status.ok());
     ExpectAnswersBitIdentical(delivered[i].answer, engine->Answer(queries[i]));
-  }
-}
-
-TEST(QueryScheduler, SurfacesScanThroughputDiagnostic) {
-  const Dataset data = MakeUniform(4000, /*seed=*/11, 1.0, 2.0);
-  const std::unique_ptr<AqpSystem> engine = MakeEngine(data, "pass");
-  const Query q = RangeQueryOnDim(AggregateType::kSum, data.NumPredDims(), 0,
-                                  1.2, 1.8);
-  QueryScheduler scheduler(/*num_threads=*/1);
-  ScheduledAnswer got = scheduler.Submit(*engine, q).get();
-  ASSERT_TRUE(got.status.ok());
-  if (got.answer.sample_rows_scanned > 0 && got.run_ms > 0.0) {
-    // rows/sec is exactly the (rows, run_ms) observation the
-    // deadline-pricing EWMA consumed, in human units.
-    EXPECT_DOUBLE_EQ(
-        got.scan_rows_per_sec,
-        static_cast<double>(got.answer.sample_rows_scanned) * 1e3 /
-            got.run_ms);
-  } else {
-    EXPECT_EQ(got.scan_rows_per_sec, 0.0);
   }
 }
 
@@ -374,11 +331,9 @@ TEST(QueryScheduler, UnitCostCalibrationLearnsFromServedQueries) {
   ASSERT_GE((*engine)->Answer(q).sample_rows_scanned, 64u)
       << "test query must clear the calibration threshold";
 
-  SchedulerOptions options;
-  options.num_threads = 2;
-  QueryScheduler scheduler(options);
+  QueryScheduler scheduler(/*num_threads=*/2);
   const double initial = scheduler.CalibratedUnitCostMs();
-  EXPECT_EQ(initial, options.calibration.initial_unit_cost_ms);
+  EXPECT_GT(initial, 0.0);
 
   std::vector<std::future<ScheduledAnswer>> futures;
   for (size_t i = 0; i < 8; ++i) {
@@ -554,12 +509,51 @@ TEST(QueryScheduler, ShutdownUnblocksBackpressuredProducers) {
   EXPECT_EQ(second.get().status.code(), StatusCode::kUnavailable);
 }
 
-// ---------------------------------------------------------------------------
-// ThreadPool shutdown contract (the layer underneath)
-// ---------------------------------------------------------------------------
+TEST(QueryScheduler, ZeroWorkersMeansHardwareConcurrency) {
+  QueryScheduler scheduler(/*num_threads=*/0);
+  EXPECT_GE(scheduler.num_threads(), 1u);
+  scheduler.Drain();  // nothing admitted: returns at once
+  EXPECT_EQ(scheduler.InFlight(), 0u);
+}
+
+/// The scheduler's own queue under load: 1000 callback submissions from
+/// four producers onto four workers, left for the destructor to drain.
+/// Every submission resolves exactly once, with an answer.
+TEST(QueryScheduler, EverySubmissionResolvesExactlyOnce) {
+  const Dataset data = MakeUniform(1000, /*seed=*/5, 1.0, 2.0);
+  const std::unique_ptr<AqpSystem> engine = MakeEngine(data, "uniform");
+  const Query q = MakeRangeQuery(AggregateType::kSum, 1.2, 1.8);
+  constexpr size_t kProducers = 4;
+  constexpr size_t kPerProducer = 250;
+  std::mutex mu;
+  std::vector<int> resolutions(kProducers * kPerProducer, 0);
+  size_t failures = 0;
+  {
+    QueryScheduler scheduler(/*num_threads=*/4);
+    std::vector<std::thread> producers;
+    for (size_t p = 0; p < kProducers; ++p) {
+      producers.emplace_back([&, p] {
+        for (size_t i = 0; i < kPerProducer; ++i) {
+          const size_t id = p * kPerProducer + i;
+          scheduler.Submit(*engine, q, SubmitOptions{},
+                           [&, id](ScheduledAnswer answer) {
+                             std::lock_guard<std::mutex> lock(mu);
+                             ++resolutions[id];
+                             if (!answer.status.ok()) ++failures;
+                           });
+        }
+      });
+    }
+    for (std::thread& t : producers) t.join();
+  }  // ~QueryScheduler runs every admitted task, then joins the workers
+  EXPECT_EQ(failures, 0u);
+  for (size_t id = 0; id < resolutions.size(); ++id) {
+    EXPECT_EQ(resolutions[id], 1) << "submission " << id;
+  }
+}
 
 // ---------------------------------------------------------------------------
-// Progressive answering (AnswerUntil) and admission control
+// Progressive answering (AnswerUntil)
 // ---------------------------------------------------------------------------
 
 /// Streams refinements through the callback until the target CI width is
@@ -668,68 +662,31 @@ TEST(QueryScheduler, AnswerUntilWithoutAResumablePathAnswersOnceInFull) {
   ExpectAnswersBitIdentical(on_min.answer, pass->Answer(extrema));
 }
 
-/// kRejectInfeasible sheds a budget-capable query only when even the
-/// zero-budget answer would miss the deadline; a feasible deadline is
-/// served normally, and the default policy still never sheds.
-TEST(QueryScheduler, RejectInfeasibleShedsOnlyHopelessDeadlines) {
-  const Dataset data = MakeIntelLike(6000, 67);
+/// A progressive submission without a resumable session is answered like
+/// a Submit with the same options, deadline included: MIN has no fused
+/// session, so a 0 ms deadline yields the zero-budget answer, not a full
+/// scan.
+TEST(QueryScheduler, AnswerUntilWithoutASessionKeepsItsDeadline) {
+  const Dataset data = MakeIntelLike(6000, 61);
   const std::unique_ptr<AqpSystem> engine = MakeEngine(data, "pass");
   ASSERT_TRUE(engine->SupportsBudget());
-  const Query q = RangeQueryOnDim(AggregateType::kSum, data.NumPredDims(),
+  const Query q = RangeQueryOnDim(AggregateType::kMin, data.NumPredDims(),
                                   0, 3137.0, 9421.0);
+  ASSERT_GT(engine->Answer(q).sample_rows_scanned, 0u)
+      << "the full answer must scan, or it equals the zero-budget one";
+
   QueryScheduler scheduler(/*num_threads=*/1);
-
-  // A zero deadline cannot cover even the fixed per-query overhead.
-  SubmitOptions hopeless;
-  hopeless.deadline = std::chrono::milliseconds(0);
-  hopeless.admission = AdmissionPolicy::kRejectInfeasible;
-  const ScheduledAnswer rejected =
-      scheduler.Submit(*engine, q, hopeless).get();
-  EXPECT_EQ(rejected.status.code(), StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(rejected.run_ms, 0.0);  // never ran
-
-  // The same deadline under the default policy still yields the
-  // zero-budget bounds answer rather than an error.
-  SubmitOptions lenient;
-  lenient.deadline = std::chrono::milliseconds(0);
-  const ScheduledAnswer bounds = scheduler.Submit(*engine, q, lenient).get();
-  ASSERT_TRUE(bounds.status.ok()) << bounds.status.ToString();
-  EXPECT_EQ(bounds.budget_total, 0u);
-
-  // A generous deadline passes the admission gate and answers in full.
-  SubmitOptions generous;
-  generous.deadline = std::chrono::milliseconds(60'000);
-  generous.admission = AdmissionPolicy::kRejectInfeasible;
-  const ScheduledAnswer served =
-      scheduler.Submit(*engine, q, generous).get();
-  ASSERT_TRUE(served.status.ok()) << served.status.ToString();
-  EXPECT_GT(served.budget_total, 0u);
-  ExpectAnswersBitIdentical(served.answer, engine->Answer(q));
-}
-
-TEST(ThreadPool, ShutdownDrainsQueuedTasks) {
-  std::atomic<int> ran{0};
-  ThreadPool pool(2);
-  for (int i = 0; i < 64; ++i) pool.Submit([&ran] { ++ran; });
-  pool.Shutdown();
-  EXPECT_EQ(ran.load(), 64);
-  EXPECT_TRUE(pool.IsShutdown());
-  pool.Shutdown();  // idempotent
-}
-
-TEST(ThreadPool, SubmitAfterShutdownIsADefinedError) {
-  ThreadPool pool(2);
-  pool.Shutdown();
-  std::atomic<bool> ran{false};
-#ifdef NDEBUG
-  // Release: rejected task, returns false, never runs.
-  EXPECT_FALSE(pool.Submit([&ran] { ran = true; }));
-  EXPECT_FALSE(ran.load());
-#else
-  // Debug: loud assert instead of silent rejection.
-  EXPECT_DEATH(pool.Submit([&ran] { ran = true; }),
-               "Submit after Shutdown");
-#endif
+  SubmitOptions expired;
+  expired.deadline = std::chrono::milliseconds(0);
+  const ScheduledAnswer result =
+      scheduler.AnswerUntil(*engine, q, StoppingCondition{}, expired).get();
+  ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+  EXPECT_TRUE(result.is_final);
+  EXPECT_EQ(result.refinements, 0u);
+  EXPECT_EQ(result.budget_total, 0u);
+  AnswerOptions zero;
+  zero.budget.max_scan_units = 0;
+  ExpectAnswersBitIdentical(result.answer, engine->Answer(q, zero));
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
 /// Regression for the sharded serving path: answers for sharded engines
 /// must stay bit-for-bit identical no matter how the work is scheduled —
-/// sequential vs. multi-threaded BatchExecutor pools. Index-addressed
-/// results plus deterministic merges make every pool size equal; this
-/// test pins that.
+/// a 1-worker vs. a 4-worker QueryScheduler. Index-addressed results plus
+/// deterministic merges make every worker count equal; this test pins
+/// that.
 
+#include <future>
 #include <memory>
 #include <vector>
 
@@ -11,8 +12,8 @@
 
 #include "data/generators.h"
 #include "data/workload.h"
-#include "engine/batch_executor.h"
 #include "engine/engine_registry.h"
+#include "engine/query_scheduler.h"
 #include "tests/test_util.h"
 
 namespace pass {
@@ -46,21 +47,34 @@ std::vector<Query> Workload(const Dataset& data) {
   return queries;
 }
 
+/// Submits every query, then collects the answers in submission order.
+std::vector<QueryAnswer> Serve(QueryScheduler& scheduler,
+                               const AqpSystem& engine,
+                               const std::vector<Query>& queries) {
+  std::vector<std::future<ScheduledAnswer>> futures;
+  for (const Query& q : queries) futures.push_back(scheduler.Submit(engine, q));
+  std::vector<QueryAnswer> answers;
+  for (auto& f : futures) {
+    ScheduledAnswer got = f.get();
+    EXPECT_TRUE(got.status.ok()) << got.status.ToString();
+    answers.push_back(std::move(got.answer));
+  }
+  return answers;
+}
+
 TEST(ShardedBatch, SequentialAndParallelPoolsAnswerIdentically) {
   const Dataset data = MakeIntelLike(12000, 110);
   const std::vector<Query> queries = Workload(data);
-  const BatchExecutor sequential(1);
-  const BatchExecutor parallel(4);
+  QueryScheduler sequential(/*num_threads=*/1);
+  QueryScheduler parallel(/*num_threads=*/4);
   for (const size_t shards : {size_t{2}, size_t{4}}) {
     const std::unique_ptr<AqpSystem> engine = MakeSharded(data, shards);
-    const BatchResult seq = sequential.Run(*engine, queries);
-    const BatchResult par = parallel.Run(*engine, queries);
-    ASSERT_EQ(seq.answers.size(), queries.size());
-    ASSERT_EQ(par.answers.size(), queries.size());
+    const std::vector<QueryAnswer> seq = Serve(sequential, *engine, queries);
+    const std::vector<QueryAnswer> par = Serve(parallel, *engine, queries);
     for (size_t i = 0; i < queries.size(); ++i) {
       SCOPED_TRACE("K=" + std::to_string(shards) + " query " +
                    std::to_string(i) + ": " + queries[i].ToString());
-      ExpectAnswersBitIdentical(seq.answers[i], par.answers[i]);
+      ExpectAnswersBitIdentical(seq[i], par[i]);
     }
   }
 }
@@ -78,12 +92,12 @@ TEST(ShardedBatch, EnsembleIsDeterministicAcrossPools) {
   wl.template_dims = {0, 1};
   wl.seed = 113;
   const std::vector<Query> queries = RandomRangeQueries(data, wl);
-  const BatchExecutor sequential(1);
-  const BatchExecutor parallel(4);
-  const BatchResult seq = sequential.Run(**engine, queries);
-  const BatchResult par = parallel.Run(**engine, queries);
+  QueryScheduler sequential(/*num_threads=*/1);
+  QueryScheduler parallel(/*num_threads=*/4);
+  const std::vector<QueryAnswer> seq = Serve(sequential, **engine, queries);
+  const std::vector<QueryAnswer> par = Serve(parallel, **engine, queries);
   for (size_t i = 0; i < queries.size(); ++i) {
-    ExpectAnswersBitIdentical(seq.answers[i], par.answers[i]);
+    ExpectAnswersBitIdentical(seq[i], par[i]);
   }
 }
 

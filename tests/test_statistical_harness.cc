@@ -191,7 +191,7 @@ TEST(AsyncStatistical, SchedulerServedShardedSumCoverage) {
   const ExactResult truth = ExactAnswer(data, q);
   ASSERT_GT(truth.matched, 0u);
 
-  QueryScheduler& scheduler = QueryScheduler::Shared(/*num_threads=*/2);
+  QueryScheduler scheduler(/*num_threads=*/2);
   const TrialStats stats = RunEstimatorTrials(
       50, /*base_seed=*/132, truth.value, kLambda95, [&](uint64_t seed) {
         EngineConfig config;
