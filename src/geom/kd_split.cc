@@ -40,7 +40,7 @@ std::vector<KdChildSlice> MultiSplit(
   PASS_CHECK(permutation != nullptr);
   PASS_CHECK(begin < end && end <= permutation->size());
   const size_t d = columns.size();
-  PASS_CHECK(d >= 1 && d <= 16);
+  PASS_CHECK(d >= 1 && d <= kMaxKdDims);
   PASS_CHECK(parent_condition.NumDims() == d);
 
   // Per-dimension median thresholds. A row goes to the "low" side of

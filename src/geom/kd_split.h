@@ -1,6 +1,7 @@
 #ifndef PASS_GEOM_KD_SPLIT_H_
 #define PASS_GEOM_KD_SPLIT_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -16,6 +17,11 @@ namespace pass {
 /// dimension ("we find the median of each attribute so the fan-out factor
 /// is 2^d"), reordering the permutation in place so each child is again a
 /// contiguous slice.
+
+/// Most dimensions `MultiSplit` splits on at once: one split buckets its
+/// rows into 2^d orthants. `BuildSynopsis` rejects a wider build with a
+/// Status before reaching the split.
+inline constexpr size_t kMaxKdDims = 16;
 
 /// One child produced by a split.
 struct KdChildSlice {

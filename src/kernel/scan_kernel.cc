@@ -1,6 +1,7 @@
 #include "kernel/scan_kernel.h"
 
 #include <algorithm>
+#include <cstring>
 
 namespace pass {
 namespace {
@@ -26,6 +27,28 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 // and ISAs even on NaN-poisoned data.
 double CanonicalNan(double x) {
   return x != x ? std::numeric_limits<double>::quiet_NaN() : x;
+}
+
+// C++17 has no std::bit_cast; memcpy is the defined way and compiles to a
+// register move.
+template <typename To, typename From>
+To BitCast(From from) {
+  static_assert(sizeof(To) == sizeof(From), "bit casts keep the size");
+  To to{};
+  std::memcpy(&to, &from, sizeof(to));
+  return to;
+}
+
+// `m != 0 ? v : miss` for a 0/1 match mask m, as bit operations: the mask
+// widens to all-ones or all-zeros and selects v's or miss's bit pattern.
+// Written as `hit ? v : miss`, GCC 12 compiles the select into a
+// data-dependent branch and leaves the accumulate loop scalar ("control
+// flow in loop"). Either form yields exactly v or exactly miss, so the
+// bits cannot differ from the reference kernel's.
+double MaskSelect(uint32_t m, double v, double miss) {
+  const uint64_t keep = uint64_t{0} - m;
+  return BitCast<double>((BitCast<uint64_t>(v) & keep) |
+                         (BitCast<uint64_t>(miss) & ~keep));
 }
 
 // Vectorization is annotation-only: PASS_SIMD_LOOP marks loops whose
@@ -143,14 +166,14 @@ ScanStats ScanBody(const double* agg, size_t n, const ScanDim* dims,
       PASS_SIMD_LOOP
       for (size_t l = 0; l < kScanLanes; ++l) {
         const double v = a[jj + l];
-        const bool hit = mask[jj + l] != 0;
-        const double sel = hit ? v : 0.0;
+        const uint32_t m = mask[jj + l];
+        const double sel = MaskSelect(m, v, 0.0);
         lane_sum[l] += sel;
         lane_sum_sq[l] += sel * sel;
         if constexpr (kMinMax) {
-          const double cmin = hit ? v : kInf;
+          const double cmin = MaskSelect(m, v, kInf);
           lane_min[l] = cmin < lane_min[l] ? cmin : lane_min[l];
-          const double cmax = hit ? v : -kInf;
+          const double cmax = MaskSelect(m, v, -kInf);
           lane_max[l] = cmax > lane_max[l] ? cmax : lane_max[l];
         }
       }
@@ -158,14 +181,14 @@ ScanStats ScanBody(const double* agg, size_t n, const ScanDim* dims,
     for (; jj < len; ++jj) {
       const size_t l = jj % kScanLanes;
       const double v = a[jj];
-      const bool hit = mask[jj] != 0;
-      const double sel = hit ? v : 0.0;
+      const uint32_t m = mask[jj];
+      const double sel = MaskSelect(m, v, 0.0);
       lane_sum[l] += sel;
       lane_sum_sq[l] += sel * sel;
       if constexpr (kMinMax) {
-        const double cmin = hit ? v : kInf;
+        const double cmin = MaskSelect(m, v, kInf);
         lane_min[l] = cmin < lane_min[l] ? cmin : lane_min[l];
-        const double cmax = hit ? v : -kInf;
+        const double cmax = MaskSelect(m, v, -kInf);
         lane_max[l] = cmax > lane_max[l] ? cmax : lane_max[l];
       }
     }

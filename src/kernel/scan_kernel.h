@@ -102,8 +102,12 @@ enum class AggShape : uint8_t {
 
 /// Scans n rows of `agg` against `num_dims` contested dimensions.
 /// num_dims == 0 (every dimension pruned or a 0-d query) matches all rows.
-/// Branchless masked implementation; auto-vectorized when built with
-/// -DPASS_SIMD=ON (the default). Dispatches on num_dims as described above.
+/// Builds an integer match mask with branch-free compares, then selects each
+/// row's contribution by AND/OR-ing the widened mask into the aggregate's
+/// bits, so no data-dependent branch remains and -DPASS_SIMD=ON (the
+/// default) vectorizes the accumulate's lane loop under GCC;
+/// tools/lint/check_kernel_vectorized.py fails CI when it stops doing so.
+/// Dispatches on num_dims as described above.
 ScanStats ScanColumns(const double* agg, size_t n, const ScanDim* dims,
                       size_t num_dims, AggShape shape = AggShape::kFull);
 

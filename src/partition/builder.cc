@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <string>
 
 #include "common/rng.h"
 #include "common/stopwatch.h"
+#include "geom/kd_split.h"
 #include "partition/kd_builder.h"
 #include "partition/max_variance.h"
 #include "partition/partitioner_1d.h"
@@ -31,6 +33,15 @@ Status ValidateOptions(const Dataset& data, const BuildOptions& options) {
     if (dim >= data.NumPredDims()) {
       return Status::InvalidArgument("partition dim out of range");
     }
+  }
+  // More than one dim always builds through the kd path.
+  const size_t split_dims = options.partition_dims.empty()
+                                ? data.NumPredDims()
+                                : options.partition_dims.size();
+  if (split_dims > kMaxKdDims) {
+    return Status::InvalidArgument(
+        "a kd partition splits on at most " + std::to_string(kMaxKdDims) +
+        " dims");
   }
   return Status::Ok();
 }

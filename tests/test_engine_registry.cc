@@ -11,6 +11,7 @@
 #include "core/exact.h"
 #include "data/generators.h"
 #include "engine/exact_system.h"
+#include "geom/kd_split.h"
 #include "jit/kernel_cache.h"
 #include "kernel/scan_kernel.h"
 
@@ -193,6 +194,30 @@ TEST(EngineRegistry, EnsembleRejectsOutOfRangeTemplateDim) {
   auto engine = EngineRegistry::Global().Create("ensemble", data, config);
   ASSERT_FALSE(engine.ok());
   EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(EngineRegistry, KdBuildPastMaxDimsIsRejected) {
+  // One kd split buckets its rows into 2^d orthants, so kd builds stop at
+  // kMaxKdDims; a wider dataset must fail with a Status, not abort.
+  EngineConfig config;
+  config.sample_rate = 0.05;
+  config.partitions = 16;
+  const Dataset widest = UniformCube(kMaxKdDims);
+  const Dataset too_wide = UniformCube(kMaxKdDims + 1);
+  for (const std::string name : {"pass", "sharded_pass"}) {
+    auto built = EngineRegistry::Global().Create(name, widest, config);
+    EXPECT_TRUE(built.ok()) << name << ": " << built.status().ToString();
+    auto rejected = EngineRegistry::Global().Create(name, too_wide, config);
+    ASSERT_FALSE(rejected.ok()) << name;
+    EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument) << name;
+  }
+
+  std::vector<size_t> all_dims(kMaxKdDims + 1);
+  for (size_t k = 0; k < all_dims.size(); ++k) all_dims[k] = k;
+  config.ensemble_templates = {{0}, all_dims};
+  auto ensemble = EngineRegistry::Global().Create("ensemble", too_wide, config);
+  ASSERT_FALSE(ensemble.ok());
+  EXPECT_EQ(ensemble.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(EngineRegistry, EmptyDatasetIsRejected) {
