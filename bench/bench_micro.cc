@@ -51,8 +51,10 @@ struct MethodRow {
   /// latency-vs-width trade the budget buys. 0 elsewhere.
   double median_ci_width = 0.0;
   /// Progressive-sweep rows only: total scan units spent per query to walk
-  /// the whole budget ladder — the work axis CI asserts on (resume must
-  /// spend strictly less than restart). 0 elsewhere.
+  /// the whole budget ladder — the work axis (resume spends strictly less
+  /// than restart; the ctest
+  /// EstimationSession.ResumingTheLadderScansLessThanRestarting asserts
+  /// it). 0 elsewhere.
   uint64_t scan_units = 0;
   size_t parallel_threads = 1;
 };
@@ -514,7 +516,7 @@ int main() {
   // delta units) versus restarting a fresh budgeted AnswerMulti at every
   // level (each step re-scans its whole prefix). Resume spends exactly
   // plan units across the ladder; restart spends ~1.75x plan — CI asserts
-  // both axes (wall-clock at K >= 2 and scan units everywhere) so the
+  // the wall-clock axis at K >= 2 and a ctest the scan-unit axis, so the
   // resumable path keeps paying for itself across PRs.
   TablePrinter progressive_table({"shards", "mode", "p50_ms", "p95_ms",
                                   "units/query"});

@@ -96,14 +96,12 @@ QueryAnswer AggregatePlusUniformSystem::AnswerImpl(
   }
 
   out.matched_sample_rows = gap_matched;
-  if (options_.compute_hard_bounds) {
-    const HardBounds hard =
-        ComputeHardBounds(tree_, frontier.covered, frontier.partial,
-                          query.agg, observed_min, observed_max);
-    if (hard.valid) {
-      out.hard_lb = hard.lb;
-      out.hard_ub = hard.ub;
-    }
+  const HardBounds hard =
+      ComputeHardBounds(tree_, frontier.covered, frontier.partial, query.agg,
+                        observed_min, observed_max);
+  if (hard.valid) {
+    out.hard_lb = hard.lb;
+    out.hard_ub = hard.ub;
   }
 
   const double n_pop = static_cast<double>(population_rows_);

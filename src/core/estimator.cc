@@ -1,3 +1,6 @@
+// The estimation half of Synopsis: the budget walk over a query's scan
+// units and the estimate assembly over its result. Synopsis's query
+// methods are defined here, next to the walk they run.
 #include "core/estimator.h"
 
 #include <algorithm>
@@ -9,6 +12,7 @@
 #include "common/macros.h"
 #include "common/rng.h"
 #include "core/hard_bounds.h"
+#include "core/synopsis.h"
 
 namespace pass {
 namespace {
@@ -29,14 +33,15 @@ struct PartialScan {
   int32_t node = -1;
   double n_pop = 0.0;
   double k_samp = 0.0;
-  bool scanned = true;
+  bool scanned = false;
   StratifiedSample::ScanResult scan;
 };
 
 /// Everything one MCF walk plus one (possibly budget-limited) pass over
-/// the partial-leaf samples yields. Every aggregate estimate below is a
-/// pure function of this, so a fused SUM/COUNT/AVG answer costs exactly
-/// one of these.
+/// the partial-leaf samples yields, and the budget walk's checkpoint.
+/// Every aggregate estimate below is a pure function of this, so a fused
+/// SUM/COUNT/AVG answer costs exactly one of these, and a resumable
+/// session is one of these advanced in place.
 struct FrontierScan {
   PartitionTree::Frontier frontier;
   AggregateStats covered_stats;  // covered + 0-variance nodes merged
@@ -44,6 +49,11 @@ struct FrontierScan {
   std::optional<double> observed_min;
   std::optional<double> observed_max;
   QueryAnswer base;  // shared diagnostics; estimate and bounds left empty
+
+  std::vector<WorkUnit> units;  // the plan's costed units, one per partial
+  std::vector<uint32_t> order;  // nonzero-cost units, in spend order
+  size_t cursor = 0;            // next candidate in `order`
+  uint64_t used = 0;            // scan units admitted so far
 };
 
 /// Whether a partial leaf's sampled moments may enter an estimate. A leaf
@@ -51,61 +61,53 @@ struct FrontierScan {
 /// sample: deterministic fallback instead of sampled estimation.
 bool HasScan(const PartialScan& p) { return p.scanned && p.k_samp > 0.0; }
 
-/// The spend-priority order of a plan's units: the explicit permutation
-/// when the plan carries one (a sharded fan-out's global-order
-/// restriction), else a seed-deterministic shuffle. One definition so the
-/// one-shot executor and the resumable session can never disagree.
-std::vector<uint32_t> SpendOrder(const WorkPlan& plan, uint64_t seed) {
-  if (!plan.priority.empty()) {
-    PASS_DCHECK(plan.priority.size() == plan.units.size());
-    return plan.priority;
+/// The MCF walk with the partial leaves enumerated as costed scan units.
+WorkPlan PlanUnits(const PartitionTree& tree,
+                   const std::vector<StratifiedSample>& samples,
+                   const Rect& predicate, bool zero_variance_as_covered) {
+  WorkPlan plan;
+  plan.frontier = tree.ComputeMcf(predicate, zero_variance_as_covered);
+  plan.units.reserve(plan.frontier.partial.size());
+  for (const int32_t id : plan.frontier.partial) {
+    const PartitionTree::Node& n = tree.node(id);
+    PASS_CHECK_MSG(n.leaf_id >= 0, "partial node is not a finalized leaf");
+    WorkUnit unit;
+    unit.node = id;
+    unit.cost = samples[static_cast<size_t>(n.leaf_id)].size();
+    plan.total_cost += unit.cost;
+    plan.units.push_back(unit);
   }
-  std::vector<uint32_t> order(plan.units.size());
-  std::iota(order.begin(), order.end(), uint32_t{0});
-  Rng rng(seed);
-  rng.Shuffle(&order);
-  return order;
+  return plan;
 }
 
-/// Selects which of the plan's units a finite budget admits: units are
-/// visited in the spend-priority order (built only for a finite budget;
-/// an unlimited one admits everything) and admitted while their whole
-/// cost still fits (partial scans of one leaf's sample would bias the
-/// stratum estimator, so a unit is all-or-nothing); the walk STOPS at the
-/// first nonzero-cost unit that does not fit. The prefix-stop rule trades
-/// a little budget utilization for monotonicity: the admitted set at a
-/// smaller cap is always a prefix — hence a subset — of the admitted set
-/// at a larger one, which is what lets a resumable session replay the
-/// order from a checkpoint and still match a fresh run bit for bit.
-/// Zero-cost units always execute — they do no work. Admission is a pure
-/// function of (plan, seed, cap); the soft deadline is enforced later,
-/// at scan time, where the clock actually advances.
-std::vector<char> SelectUnits(const WorkPlan& plan, uint64_t seed,
-                              const WorkBudget& budget) {
-  std::vector<char> execute(plan.units.size(), 1);
-  if (budget.Unlimited()) return execute;
-  const uint64_t cap =
-      budget.max_scan_units.value_or(std::numeric_limits<uint64_t>::max());
-  uint64_t used = 0;
-  bool stopped = false;
-  for (const uint32_t i : SpendOrder(plan, seed)) {
-    const uint64_t cost = plan.units[i].cost;
-    if (cost == 0) continue;  // free: stays admitted
-    if (!stopped && used + cost <= cap) {
-      used += cost;
-    } else {
-      stopped = true;
-      execute[i] = 0;
-    }
-  }
-  return execute;
+/// Scans one partial leaf's whole stratified sample. Active-dim pruning:
+/// the leaf's tight bounding box proves dims the query fully covers, so
+/// the kernel tests contested dims only. Bit-identical to the unpruned
+/// scan (see StratifiedSample::Scan).
+void ScanUnit(const PartitionTree& tree,
+              const std::vector<StratifiedSample>& samples,
+              const Rect& predicate, const EstimatorOptions& opts,
+              PartialScan* p) {
+  const PartitionTree::Node& n = tree.node(p->node);
+  p->scan = samples[static_cast<size_t>(n.leaf_id)].Scan(
+      predicate, n.data_bounds, opts.kernel_cache.get());
+  p->scanned = true;
 }
 
-/// The scan-free head of plan execution: frontier bookkeeping, covered
-/// aggregate merging, and one not-yet-scanned PartialScan record per
-/// partial leaf. Shared by the one-shot executor and the resumable
-/// session so both assemble answers from identical state.
-FrontierScan InitFrontierScan(const PartitionTree& tree, WorkPlan plan) {
+/// The budget walk, step one: frontier bookkeeping, covered aggregate
+/// merging, one not-yet-scanned PartialScan per partial leaf, the
+/// nonzero-cost units put in spend order, and the zero-cost units scanned
+/// (they do no work, so every budget admits them). The spend order is the
+/// plan's explicit priority when it carries one (a sharded fan-out's
+/// global-order restriction), else a seed-deterministic shuffle, so
+/// truncation does not systematically favor tree-order leaves. Without
+/// `in_spend_order` the units stay in frontier order: an unlimited budget
+/// admits them all, so their order cannot matter.
+FrontierScan StartWalk(const PartitionTree& tree,
+                       const std::vector<StratifiedSample>& samples,
+                       const Rect& predicate, WorkPlan plan,
+                       const EstimatorOptions& opts, bool in_spend_order,
+                       uint64_t seed) {
   FrontierScan fs;
   fs.frontier = std::move(plan.frontier);
 
@@ -138,77 +140,96 @@ FrontierScan InitFrontierScan(const PartitionTree& tree, WorkPlan plan) {
     fs.covered_stats.Merge(tree.node(id).stats);
   }
 
-  fs.partials.reserve(fs.frontier.partial.size());
-  for (const int32_t id : fs.frontier.partial) {
-    const PartitionTree::Node& n = tree.node(id);
-    PASS_CHECK_MSG(n.leaf_id >= 0, "partial node is not a finalized leaf");
-    PartialScan p;
-    p.node = id;
-    p.n_pop = static_cast<double>(n.stats.count);
-    p.k_samp = 0.0;  // filled below; a leaf's sample size is its unit cost
-    p.scanned = false;
-    fs.partials.push_back(p);
+  fs.units = std::move(plan.units);
+  fs.partials.resize(fs.units.size());
+  for (size_t u = 0; u < fs.units.size(); ++u) {
+    PartialScan& p = fs.partials[u];
+    p.node = fs.units[u].node;
+    p.n_pop = static_cast<double>(tree.node(p.node).stats.count);
+    p.k_samp = static_cast<double>(fs.units[u].cost);  // sample size
+    if (fs.units[u].cost == 0) ScanUnit(tree, samples, predicate, opts, &p);
   }
-  for (size_t u = 0; u < plan.units.size(); ++u) {
-    fs.partials[u].k_samp = static_cast<double>(plan.units[u].cost);
+
+  if (in_spend_order && !plan.priority.empty()) {
+    PASS_DCHECK(plan.priority.size() == fs.units.size());
+    fs.order = std::move(plan.priority);
+  } else {
+    fs.order.resize(fs.units.size());
+    std::iota(fs.order.begin(), fs.order.end(), uint32_t{0});
+    if (in_spend_order) {
+      Rng rng(seed);
+      rng.Shuffle(&fs.order);
+    }
   }
+  fs.order.erase(std::remove_if(fs.order.begin(), fs.order.end(),
+                                [&fs](uint32_t u) {
+                                  return fs.units[u].cost == 0;
+                                }),
+                 fs.order.end());
   return fs;
 }
 
-/// The execute half: consumes a WorkPlan up to `budget`, scanning admitted
-/// units and leaving the rest to the deterministic fallback. With an
-/// unlimited budget this performs exactly the operations (in exactly the
-/// order) of the pre-split scan-everything routine, so unlimited answers
-/// are bit-identical by construction.
+/// The budget walk, step two: admits whole units in spend order while each
+/// fits the cumulative cap and the soft deadline has not passed, and stops
+/// at the first that does not. A unit is all-or-nothing (a partial scan of
+/// one leaf's sample would bias its stratum estimator), and stopping
+/// rather than skipping makes the admitted set at any cap a prefix of the
+/// admitted set at every larger one, which is what lets a session resume
+/// from its checkpoint and still match a fresh walk bit for bit. Then
+/// rebuilds the dynamic diagnostics in frontier order, the order every
+/// estimate accumulates in: the budget decides which leaves are scanned,
+/// never the accumulation order.
+void AdvanceWalk(const PartitionTree& tree,
+                 const std::vector<StratifiedSample>& samples,
+                 const Rect& predicate, const EstimatorOptions& opts,
+                 const WorkBudget& budget, FrontierScan* fs) {
+  const uint64_t cap =
+      budget.max_scan_units.value_or(std::numeric_limits<uint64_t>::max());
+  for (; fs->cursor < fs->order.size(); ++fs->cursor) {
+    const uint32_t u = fs->order[fs->cursor];
+    const uint64_t cost = fs->units[u].cost;
+    if (fs->used + cost > cap ||
+        (budget.soft_deadline.has_value() &&
+         std::chrono::steady_clock::now() > *budget.soft_deadline)) {
+      break;
+    }
+    fs->used += cost;
+    ScanUnit(tree, samples, predicate, opts, &fs->partials[u]);
+  }
+
+  QueryAnswer& out = fs->base;
+  out.sample_rows_scanned = fs->used;
+  out.matched_sample_rows = 0;
+  out.truncated = false;
+  fs->observed_min.reset();
+  fs->observed_max.reset();
+  for (const PartialScan& p : fs->partials) {
+    if (!p.scanned) {
+      out.truncated = true;
+      continue;
+    }
+    out.matched_sample_rows += p.scan.matched;
+    if (p.scan.matched > 0) {
+      fs->observed_min =
+          std::min(fs->observed_min.value_or(p.scan.min), p.scan.min);
+      fs->observed_max =
+          std::max(fs->observed_max.value_or(p.scan.max), p.scan.max);
+    }
+  }
+}
+
+/// One-shot execution of a plan: one start plus one advance.
 FrontierScan ExecutePlan(const PartitionTree& tree,
                          const std::vector<StratifiedSample>& samples,
                          const Rect& predicate, WorkPlan plan,
                          const EstimatorOptions& opts,
-                         const WorkBudget& budget, uint64_t seed) {
-  const std::vector<char> execute = SelectUnits(plan, seed, budget);
-  FrontierScan fs = InitFrontierScan(tree, std::move(plan));
-  QueryAnswer& out = fs.base;
-
-  // Scan the admitted stratified samples once, in frontier order — the
-  // budget decides *which* leaves are scanned, never the accumulation
-  // order, so estimates stay reproducible across budget paths. The soft
-  // deadline is enforced right here, between unit scans (the admission
-  // pass above runs in microseconds, so only the scan loop actually
-  // watches the clock advance); once it expires, every remaining nonzero
-  // unit falls back — a unit scan is never torn.
-  for (size_t u = 0; u < fs.partials.size(); ++u) {
-    PartialScan& p = fs.partials[u];
-    const PartitionTree::Node& n = tree.node(p.node);
-    const StratifiedSample& sample = samples[static_cast<size_t>(n.leaf_id)];
-    p.scanned = execute[u] != 0;
-    if (p.scanned && sample.size() > 0 &&
-        budget.soft_deadline.has_value() &&
-        std::chrono::steady_clock::now() > *budget.soft_deadline) {
-      p.scanned = false;
-    }
-    if (p.scanned) {
-      // Active-dim pruning: the leaf's tight bounding box proves dims the
-      // query fully covers, so the kernel tests contested dims only.
-      // Bit-identical to the unpruned scan (see StratifiedSample::Scan).
-      p.scan = sample.Scan(predicate, n.data_bounds,
-                           opts.kernel_cache.get());
-      out.sample_rows_scanned += sample.size();
-      out.matched_sample_rows += p.scan.matched;
-      if (p.scan.matched > 0) {
-        fs.observed_min = fs.observed_min
-                              ? std::min(*fs.observed_min, p.scan.min)
-                              : p.scan.min;
-        fs.observed_max = fs.observed_max
-                              ? std::max(*fs.observed_max, p.scan.max)
-                              : p.scan.max;
-      }
-    } else {
-      out.truncated = true;
-    }
-  }
+                         const AnswerOptions& options) {
+  FrontierScan fs =
+      StartWalk(tree, samples, predicate, std::move(plan), opts,
+                !options.budget.Unlimited(), options.seed);
+  AdvanceWalk(tree, samples, predicate, opts, options.budget, &fs);
   return fs;
 }
-
 
 /// Hard bounds need the 0-variance nodes on the *partial* side (their
 /// matched cardinality is unknown even though their value is constant).
@@ -301,7 +322,8 @@ Estimate RatioEstimate(const Estimate& sum, const Estimate& count,
 /// The fused SUM/COUNT/AVG assembly over a (possibly partially) scanned
 /// frontier — a pure function of the FrontierScan, shared by the one-shot
 /// fused path and the resumable session so their answers are the same
-/// bits whenever their scan state is.
+/// bits whenever their scan state is. The fused AVG is always the ratio
+/// estimator, whatever EstimatorOptions::avg_mode says.
 MultiAnswer MultiFromFrontier(const PartitionTree& tree,
                               const FrontierScan& fs,
                               const EstimatorOptions& opts) {
@@ -311,23 +333,20 @@ MultiAnswer MultiFromFrontier(const PartitionTree& tree,
   out.count = fs.base;
   out.avg = fs.base;
 
-  HardBounds avg_hard;
-  if (opts.compute_hard_bounds) {
-    const HardBounds sum_hard = BoundsFor(tree, fs, AggregateType::kSum);
-    if (sum_hard.valid) {
-      out.sum.hard_lb = sum_hard.lb;
-      out.sum.hard_ub = sum_hard.ub;
-    }
-    const HardBounds count_hard = BoundsFor(tree, fs, AggregateType::kCount);
-    if (count_hard.valid) {
-      out.count.hard_lb = count_hard.lb;
-      out.count.hard_ub = count_hard.ub;
-    }
-    avg_hard = BoundsFor(tree, fs, AggregateType::kAvg);
-    if (avg_hard.valid) {
-      out.avg.hard_lb = avg_hard.lb;
-      out.avg.hard_ub = avg_hard.ub;
-    }
+  const HardBounds sum_hard = BoundsFor(tree, fs, AggregateType::kSum);
+  if (sum_hard.valid) {
+    out.sum.hard_lb = sum_hard.lb;
+    out.sum.hard_ub = sum_hard.ub;
+  }
+  const HardBounds count_hard = BoundsFor(tree, fs, AggregateType::kCount);
+  if (count_hard.valid) {
+    out.count.hard_lb = count_hard.lb;
+    out.count.hard_ub = count_hard.ub;
+  }
+  const HardBounds avg_hard = BoundsFor(tree, fs, AggregateType::kAvg);
+  if (avg_hard.valid) {
+    out.avg.hard_lb = avg_hard.lb;
+    out.avg.hard_ub = avg_hard.ub;
   }
 
   out.sum.estimate = AdditiveEstimate(tree, fs, true, opts.use_fpc);
@@ -338,80 +357,25 @@ MultiAnswer MultiFromFrontier(const PartitionTree& tree,
   return out;
 }
 
-}  // namespace
 
-WorkPlan PlanScan(const PartitionTree& tree,
-                  const std::vector<StratifiedSample>& samples,
-                  const Rect& predicate, bool zero_variance_as_covered) {
-  WorkPlan plan;
-  plan.frontier = tree.ComputeMcf(predicate, zero_variance_as_covered);
-  plan.units.reserve(plan.frontier.partial.size());
-  for (const int32_t id : plan.frontier.partial) {
-    const PartitionTree::Node& n = tree.node(id);
-    PASS_CHECK_MSG(n.leaf_id >= 0, "partial node is not a finalized leaf");
-    WorkUnit unit;
-    unit.node = id;
-    unit.cost = samples[static_cast<size_t>(n.leaf_id)].size();
-    plan.total_cost += unit.cost;
-    plan.units.push_back(unit);
-  }
-  return plan;
-}
-
-StratumEstimate EstimateStratumSum(double n_pop, double k_samp, double s,
-                                   double ss, bool use_fpc) {
-  StratumEstimate out;
-  if (k_samp <= 0.0 || n_pop <= 0.0) return out;
-  const double mean_phi = s / k_samp;                  // E[pred*a]
-  double var_phi = ss / k_samp - mean_phi * mean_phi;  // Var(pred*a)
-  var_phi = std::max(var_phi, 0.0);
-  out.value = n_pop * mean_phi;
-  out.variance =
-      n_pop * n_pop * var_phi / k_samp * Fpc(n_pop, k_samp, use_fpc);
-  return out;
-}
-
-QueryAnswer AnswerWithTree(const PartitionTree& tree,
-                           const std::vector<StratifiedSample>& samples,
-                           const Query& query, const EstimatorOptions& opts) {
-  return AnswerWithTree(tree, samples, query, opts, AnswerOptions{});
-}
-
-QueryAnswer AnswerWithTree(const PartitionTree& tree,
-                           const std::vector<StratifiedSample>& samples,
-                           const Query& query, const EstimatorOptions& opts,
-                           const AnswerOptions& answer_options) {
-  const bool use_rule =
-      opts.zero_variance_rule && query.agg == AggregateType::kAvg;
-  return AnswerOverPlan(tree, samples,
-                        PlanScan(tree, samples, query.predicate, use_rule),
-                        query, opts, answer_options);
-}
-
-QueryAnswer AnswerOverPlan(const PartitionTree& tree,
-                           const std::vector<StratifiedSample>& samples,
-                           WorkPlan plan, const Query& query,
-                           const EstimatorOptions& opts,
-                           const AnswerOptions& answer_options) {
-  const FrontierScan fs =
-      ExecutePlan(tree, samples, query.predicate, std::move(plan), opts,
-                  answer_options.budget, answer_options.seed);
-
+/// The per-aggregate assembly over a scanned frontier: the twin of
+/// MultiFromFrontier for one aggregate, with EstimatorOptions::avg_mode
+/// choosing the AVG estimator.
+QueryAnswer SingleFromFrontier(const PartitionTree& tree,
+                               const FrontierScan& fs, AggregateType agg,
+                               const EstimatorOptions& opts) {
   QueryAnswer out = fs.base;
-  HardBounds hard;
-  if (opts.compute_hard_bounds) {
-    hard = BoundsFor(tree, fs, query.agg);
-    if (hard.valid) {
-      out.hard_lb = hard.lb;
-      out.hard_ub = hard.ub;
-    }
+  const HardBounds hard = BoundsFor(tree, fs, agg);
+  if (hard.valid) {
+    out.hard_lb = hard.lb;
+    out.hard_ub = hard.ub;
   }
 
-  switch (query.agg) {
+  switch (agg) {
     case AggregateType::kSum:
     case AggregateType::kCount:
-      out.estimate = AdditiveEstimate(
-          tree, fs, query.agg == AggregateType::kSum, opts.use_fpc);
+      out.estimate = AdditiveEstimate(tree, fs, agg == AggregateType::kSum,
+                                      opts.use_fpc);
       break;
 
     case AggregateType::kAvg: {
@@ -466,7 +430,7 @@ QueryAnswer AnswerOverPlan(const PartitionTree& tree,
     case AggregateType::kMax: {
       // Point estimate: best value observed among covered partitions (their
       // extrema are attained by matching tuples) and matched sample rows.
-      const bool is_min = query.agg == AggregateType::kMin;
+      const bool is_min = agg == AggregateType::kMin;
       double best = is_min ? kInf : -kInf;
       if (fs.covered_stats.count > 0) {
         best = is_min ? fs.covered_stats.min : fs.covered_stats.max;
@@ -485,149 +449,109 @@ QueryAnswer AnswerOverPlan(const PartitionTree& tree,
   return out;
 }
 
-MultiAnswer MultiAnswerWithTree(const PartitionTree& tree,
-                                const std::vector<StratifiedSample>& samples,
-                                const Rect& predicate,
-                                const EstimatorOptions& opts) {
-  return MultiAnswerWithTree(tree, samples, predicate, opts, AnswerOptions{});
-}
-
-MultiAnswer MultiAnswerWithTree(const PartitionTree& tree,
-                                const std::vector<StratifiedSample>& samples,
-                                const Rect& predicate,
-                                const EstimatorOptions& opts,
-                                const AnswerOptions& answer_options) {
-  // One walk without the AVG-only zero-variance rule: the frontier is the
-  // one the per-aggregate SUM/COUNT paths use, so their estimates stay
-  // bit-identical, and a shared frontier is what makes the directly
-  // computed Cov(SUM, COUNT) exact for the AVG delta method.
-  return MultiAnswerOverPlan(tree, samples,
-                             PlanScan(tree, samples, predicate, false),
-                             predicate, opts, answer_options);
-}
-
-MultiAnswer MultiAnswerOverPlan(const PartitionTree& tree,
-                                const std::vector<StratifiedSample>& samples,
-                                WorkPlan plan, const Rect& predicate,
-                                const EstimatorOptions& opts,
-                                const AnswerOptions& answer_options) {
-  const FrontierScan fs =
-      ExecutePlan(tree, samples, predicate, std::move(plan), opts,
-                  answer_options.budget, answer_options.seed);
-  return MultiFromFrontier(tree, fs, opts);
-}
-
-namespace {
-
-/// The tree-backed EstimationSession: a checkpoint into the one spend-
-/// priority order the one-shot executor walks. State is the FrontierScan
-/// a fresh run would have built, grown monotonically; every AdvanceTo
-/// recomputes the dynamic diagnostics in frontier order and reassembles
-/// through the same MultiFromFrontier a fresh run uses, so answers are
-/// bit-identical to fresh budgeted evaluations by construction.
+/// The tree-backed EstimationSession: a FrontierScan checkpointed in the
+/// budget walk's spend order. Each AdvanceTo is one more advance of that
+/// walk plus the MultiFromFrontier a one-shot answer runs, so it returns
+/// the bits a fresh start plus one advance at the same cumulative cap
+/// returns.
 class TreeSession final : public EstimationSession {
  public:
   TreeSession(const PartitionTree& tree,
               const std::vector<StratifiedSample>& samples, WorkPlan plan,
-              Rect predicate, const EstimatorOptions& opts, uint64_t seed)
+              const Rect& predicate, const EstimatorOptions& opts,
+              uint64_t seed)
       : tree_(tree),
         samples_(samples),
-        predicate_(std::move(predicate)),
+        predicate_(predicate),
         opts_(opts),
-        plan_cost_(plan.total_cost),
-        units_(plan.units) {
-    const std::vector<uint32_t> order = SpendOrder(plan, seed);
-    fs_ = InitFrontierScan(tree_, std::move(plan));
-    static_base_ = fs_.base;
-    // Zero-cost units are admitted at every budget level (they do no
-    // work), so scan them up front; the checkpointed walk below meters
-    // nonzero units only.
-    for (uint32_t u = 0; u < units_.size(); ++u) {
-      if (units_[u].cost == 0) ScanUnit(u);
-    }
-    nonzero_order_.reserve(order.size());
-    for (const uint32_t u : order) {
-      if (units_[u].cost > 0) nonzero_order_.push_back(u);
-    }
-  }
+        fs_(StartWalk(tree, samples, predicate, std::move(plan), opts,
+                      /*in_spend_order=*/true, seed)) {}
 
   MultiAnswer AdvanceTo(uint64_t max_scan_units) override {
-    // Resume the prefix walk from the checkpoint: admit whole units while
-    // they fit the cumulative cap, stop at the first that does not —
-    // exactly where a fresh SelectUnits at this cap stops.
-    while (cursor_ < nonzero_order_.size()) {
-      const uint32_t u = nonzero_order_[cursor_];
-      const uint64_t cost = units_[u].cost;
-      if (used_ + cost > max_scan_units) break;
-      used_ += cost;
-      ScanUnit(u);
-      ++cursor_;
-    }
-    return Assemble();
-  }
-
-  uint64_t PlanCost() const override { return plan_cost_; }
-  uint64_t UnitsScanned() const override { return used_; }
-
- private:
-  void ScanUnit(uint32_t u) {
-    PartialScan& p = fs_.partials[u];
-    const PartitionTree::Node& n = tree_.node(p.node);
-    // Same active-dim pruning as ExecutePlan: resumed sessions must stay
-    // bit-identical to fresh budgeted runs, so both sites prune with the
-    // same leaf box.
-    p.scan = samples_[static_cast<size_t>(n.leaf_id)].Scan(
-        predicate_, n.data_bounds, opts_.kernel_cache.get());
-    p.scanned = true;
-  }
-
-  MultiAnswer Assemble() {
-    // Rebuild the dynamic diagnostics in frontier order — the order the
-    // one-shot executor accumulates them in — from the per-unit scans.
-    fs_.base = static_base_;
-    fs_.observed_min.reset();
-    fs_.observed_max.reset();
-    for (size_t u = 0; u < fs_.partials.size(); ++u) {
-      const PartialScan& p = fs_.partials[u];
-      if (!p.scanned) {
-        fs_.base.truncated = true;
-        continue;
-      }
-      fs_.base.sample_rows_scanned += units_[u].cost;
-      fs_.base.matched_sample_rows += p.scan.matched;
-      if (p.scan.matched > 0) {
-        fs_.observed_min = fs_.observed_min
-                               ? std::min(*fs_.observed_min, p.scan.min)
-                               : p.scan.min;
-        fs_.observed_max = fs_.observed_max
-                               ? std::max(*fs_.observed_max, p.scan.max)
-                               : p.scan.max;
-      }
-    }
+    WorkBudget budget;
+    budget.max_scan_units = max_scan_units;
+    AdvanceWalk(tree_, samples_, predicate_, opts_, budget, &fs_);
     return MultiFromFrontier(tree_, fs_, opts_);
   }
 
+  uint64_t PlanCost() const override { return fs_.base.scan_units_planned; }
+  uint64_t UnitsScanned() const override { return fs_.used; }
+
+ private:
   const PartitionTree& tree_;
   const std::vector<StratifiedSample>& samples_;
   const Rect predicate_;
   const EstimatorOptions opts_;
-  const uint64_t plan_cost_;
-  std::vector<WorkUnit> units_;
-  std::vector<uint32_t> nonzero_order_;  // spend order, nonzero units only
-  size_t cursor_ = 0;                    // next candidate in nonzero_order_
-  uint64_t used_ = 0;                    // units admitted so far
   FrontierScan fs_;
-  QueryAnswer static_base_;  // plan-time diagnostics, scan-independent
 };
 
 }  // namespace
 
-std::unique_ptr<EstimationSession> StartTreeSession(
-    const PartitionTree& tree, const std::vector<StratifiedSample>& samples,
-    WorkPlan plan, Rect predicate, const EstimatorOptions& opts,
-    uint64_t seed) {
-  return std::make_unique<TreeSession>(tree, samples, std::move(plan),
-                                       std::move(predicate), opts, seed);
+StratumEstimate EstimateStratumSum(double n_pop, double k_samp, double s,
+                                   double ss, bool use_fpc) {
+  StratumEstimate out;
+  if (k_samp <= 0.0 || n_pop <= 0.0) return out;
+  const double mean_phi = s / k_samp;                  // E[pred*a]
+  double var_phi = ss / k_samp - mean_phi * mean_phi;  // Var(pred*a)
+  var_phi = std::max(var_phi, 0.0);
+  out.value = n_pop * mean_phi;
+  out.variance =
+      n_pop * n_pop * var_phi / k_samp * Fpc(n_pop, k_samp, use_fpc);
+  return out;
+}
+
+WorkPlan Synopsis::PlanFor(const Rect& predicate) const {
+  return PlanUnits(tree_, samples_, predicate, false);
+}
+
+QueryAnswer Synopsis::AnswerImpl(const Query& query,
+                                 const AnswerOptions& options) const {
+  const bool use_rule =
+      options_.zero_variance_rule && query.agg == AggregateType::kAvg;
+  return SingleFromFrontier(
+      tree_,
+      ExecutePlan(tree_, samples_, query.predicate,
+                  PlanUnits(tree_, samples_, query.predicate, use_rule),
+                  options_, options),
+      query.agg, options_);
+}
+
+MultiAnswer Synopsis::AnswerMultiImpl(const Rect& predicate,
+                                      const AnswerOptions& options) const {
+  return AnswerMultiOverPlan(PlanFor(predicate), predicate, options);
+}
+
+QueryAnswer Synopsis::AnswerOverPlan(WorkPlan plan, const Query& query,
+                                     const AnswerOptions& options) const {
+  // A rule-OFF plan is the wrong frontier for the zero-variance-rule AVG
+  // path (callers route AVG through AnswerMultiOverPlan instead).
+  PASS_DCHECK(query.agg != AggregateType::kAvg ||
+              !options_.zero_variance_rule);
+  return SingleFromFrontier(
+      tree_,
+      ExecutePlan(tree_, samples_, query.predicate, std::move(plan),
+                  options_, options),
+      query.agg, options_);
+}
+
+MultiAnswer Synopsis::AnswerMultiOverPlan(WorkPlan plan,
+                                          const Rect& predicate,
+                                          const AnswerOptions& options) const {
+  return MultiFromFrontier(tree_,
+                           ExecutePlan(tree_, samples_, predicate,
+                                       std::move(plan), options_, options),
+                           options_);
+}
+
+std::unique_ptr<EstimationSession> Synopsis::StartSessionImpl(
+    const Rect& predicate, uint64_t seed) const {
+  return StartSessionOverPlan(PlanFor(predicate), predicate, seed);
+}
+
+std::unique_ptr<EstimationSession> Synopsis::StartSessionOverPlan(
+    WorkPlan plan, const Rect& predicate, uint64_t seed) const {
+  return std::make_unique<TreeSession>(tree_, samples_, std::move(plan),
+                                       predicate, options_, seed);
 }
 
 }  // namespace pass

@@ -1,50 +1,11 @@
 #include "core/stratified_sample.h"
 
-#include <atomic>
-#include <forward_list>
 #include <vector>
 
-#include "common/mutex.h"
-#include "common/thread_annotations.h"
 #include "jit/kernel_cache.h"
 #include "kernel/scan_kernel.h"
 
 namespace pass {
-namespace {
-
-// Scan-call accounting stays off the shared cache line: each thread
-// increments its own counter (one uncontended relaxed add per leaf scan)
-// and TotalScanCalls sums them. Counters outlive their threads so the
-// total is monotone; the list is static storage, not a leak. The lock
-// guards the list's *structure* (emplace vs. iterate); the counters
-// themselves are atomics and never need it.
-Mutex g_scan_counter_mu;
-
-std::forward_list<std::atomic<uint64_t>>& ScanCounters()
-    REQUIRES(g_scan_counter_mu) {
-  static std::forward_list<std::atomic<uint64_t>> counters;
-  return counters;
-}
-
-std::atomic<uint64_t>& LocalScanCounter() {
-  thread_local std::atomic<uint64_t>* counter = [] {
-    MutexLock lock(g_scan_counter_mu);
-    ScanCounters().emplace_front(0);
-    return &ScanCounters().front();
-  }();
-  return *counter;
-}
-
-}  // namespace
-
-uint64_t StratifiedSample::TotalScanCalls() {
-  MutexLock lock(g_scan_counter_mu);
-  uint64_t total = 0;
-  for (const auto& count : ScanCounters()) {
-    total += count.load(std::memory_order_relaxed);
-  }
-  return total;
-}
 
 StratifiedSample::ScanResult StratifiedSample::Scan(const Rect& query,
                                                     KernelCache* cache) const {
@@ -60,7 +21,6 @@ StratifiedSample::ScanResult StratifiedSample::Scan(
 StratifiedSample::ScanResult StratifiedSample::ScanImpl(
     const Rect& query, const Rect* leaf_box, KernelCache* cache) const {
   PASS_DCHECK(query.NumDims() == preds_.size());
-  LocalScanCounter().fetch_add(1, std::memory_order_relaxed);
   const size_t d = preds_.size();
 
   // Contested dimensions only: a dim whose leaf box the query fully

@@ -86,12 +86,6 @@ class StratifiedSample {
   ScanResult Scan(const Rect& query, const Rect& leaf_box,
                   KernelCache* cache = nullptr) const;
 
-  /// Process-wide count of Scan() invocations. Each thread bumps its own
-  /// counter (no shared cache line on the hot scan loop); reads aggregate
-  /// them. Lets tests assert that a query's reported work equals the
-  /// scans actually performed.
-  static uint64_t TotalScanCalls();
-
   /// Bytes of sample payload (rows actually stored). This is the
   /// storage-accounting quantity for BSS bounds — what a serialized
   /// synopsis would occupy — and what Synopsis::StorageBytes sums.

@@ -5,6 +5,17 @@
 #include "core/delta_encoding.h"
 
 namespace pass {
+namespace {
+
+/// Whether a row has one value per predicate dimension. A row of any other
+/// arity would read or write past the tree's rectangles and the sample
+/// columns.
+bool HasArity(const std::vector<StratifiedSample>& samples,
+              const std::vector<double>& preds) {
+  return !samples.empty() && preds.size() == samples.front().NumDims();
+}
+
+}  // namespace
 
 Synopsis::Synopsis(PartitionTree tree, std::vector<StratifiedSample> samples,
                    EstimatorOptions options)
@@ -17,53 +28,11 @@ Synopsis::Synopsis(PartitionTree tree, std::vector<StratifiedSample> samples,
   for (const auto& s : samples_) sample_capacity_.push_back(s.size());
 }
 
-QueryAnswer Synopsis::AnswerImpl(const Query& query,
-                                 const AnswerOptions& options) const {
-  return AnswerWithTree(tree_, samples_, query, options_, options);
-}
-
-MultiAnswer Synopsis::AnswerMultiImpl(const Rect& predicate,
-                                      const AnswerOptions& options) const {
-  return MultiAnswerWithTree(tree_, samples_, predicate, options_, options);
-}
-
-std::unique_ptr<EstimationSession> Synopsis::StartSessionImpl(
-    const Rect& predicate, uint64_t seed) const {
-  return StartSessionOverPlan(PlanFor(predicate), predicate, seed);
-}
-
-std::unique_ptr<EstimationSession> Synopsis::StartSessionOverPlan(
-    WorkPlan plan, const Rect& predicate, uint64_t seed) const {
-  return StartTreeSession(tree_, samples_, std::move(plan), predicate,
-                          options_, seed);
-}
-
-WorkPlan Synopsis::PlanFor(const Rect& predicate) const {
-  return PlanScan(tree_, samples_, predicate, false);
-}
-
 uint64_t Synopsis::PlanScanCost(const Rect& predicate) const {
   // Rule-OFF plan: the fused frontier, which is also what the budgeted
   // SUM/COUNT paths execute. (The AVG-only zero-variance rule can only
   // shrink the frontier, so this cost is an upper bound for every path.)
   return PlanFor(predicate).total_cost;
-}
-
-QueryAnswer Synopsis::AnswerOverPlan(WorkPlan plan, const Query& query,
-                                     const AnswerOptions& options) const {
-  // A rule-OFF plan is the wrong frontier for the zero-variance-rule AVG
-  // path (callers route AVG through AnswerMultiOverPlan instead).
-  PASS_DCHECK(query.agg != AggregateType::kAvg ||
-              !options_.zero_variance_rule);
-  return pass::AnswerOverPlan(tree_, samples_, std::move(plan), query,
-                              options_, options);
-}
-
-MultiAnswer Synopsis::AnswerMultiOverPlan(WorkPlan plan,
-                                          const Rect& predicate,
-                                          const AnswerOptions& options) const {
-  return MultiAnswerOverPlan(tree_, samples_, std::move(plan), predicate,
-                             options_, options);
 }
 
 uint64_t Synopsis::StorageBytes() const {
@@ -111,6 +80,7 @@ SystemCosts Synopsis::Costs() const {
 }
 
 bool Synopsis::Insert(const std::vector<double>& preds, double agg) {
+  if (!HasArity(samples_, preds)) return false;
   const int32_t leaf = tree_.RouteToLeaf(preds);
   if (leaf < 0) return false;
   // Patch aggregates and data bounds from the leaf up to the root.
@@ -142,6 +112,7 @@ bool Synopsis::Insert(const std::vector<double>& preds, double agg) {
 }
 
 bool Synopsis::Delete(const std::vector<double>& preds, double agg) {
+  if (!HasArity(samples_, preds)) return false;
   const int32_t leaf = tree_.RouteToLeaf(preds);
   if (leaf < 0) return false;
   if (tree_.node(leaf).stats.count == 0) return false;

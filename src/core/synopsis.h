@@ -33,10 +33,15 @@ class Synopsis final : public AqpSystem {
   std::string Name() const override { return name_; }
   SystemCosts Costs() const override;
 
+  // PlanFor, the AnswerOverPlan pair, the session starters and the
+  // protected answering hooks are defined in core/estimator.cc, next to
+  // the one budget walk they all run.
+
   /// The rule-OFF WorkPlan of this predicate (the frontier every fused
   /// answer and every non-AVG aggregate uses): one MCF walk, no sample
-  /// row touched. What a serving layer uses to price queries, split
-  /// budgets across shards, and then execute without a second walk.
+  /// row touched, one costed scan unit per partial leaf. What a serving
+  /// layer uses to price queries, split budgets across shards, and then
+  /// execute without a second walk.
   WorkPlan PlanFor(const Rect& predicate) const;
 
   /// Price of this query's sampled work in scan units
@@ -44,10 +49,10 @@ class Synopsis final : public AqpSystem {
   uint64_t PlanScanCost(const Rect& predicate) const;
 
   /// Budgeted answering over a plan the caller already computed with
-  /// PlanFor — skips the second MCF walk the budgeted shard fan-out
-  /// would otherwise pay. AnswerOverPlan is only valid for aggregates
-  /// that use the rule-OFF frontier (everything except AVG under the
-  /// zero-variance rule; route AVG through AnswerMultiOverPlan).
+  /// PlanFor for this predicate — skips the second MCF walk the budgeted
+  /// shard fan-out would otherwise pay. AnswerOverPlan is only valid for
+  /// aggregates that use the rule-OFF frontier (everything except AVG
+  /// under the zero-variance rule; route AVG through AnswerMultiOverPlan).
   QueryAnswer AnswerOverPlan(WorkPlan plan, const Query& query,
                              const AnswerOptions& options) const;
   MultiAnswer AnswerMultiOverPlan(WorkPlan plan, const Rect& predicate,
@@ -55,9 +60,11 @@ class Synopsis final : public AqpSystem {
 
   /// Opens a resumable fused estimation over a plan the caller computed
   /// with PlanFor — possibly carrying an explicit priority order (the
-  /// sharded fan-out's global-order restriction). Same delta-scan /
-  /// bit-identity contract as StartSession; the synopsis must outlive the
-  /// session.
+  /// sharded fan-out's global-order restriction). AdvanceTo(b) answers
+  /// are bit-identical to AnswerMultiOverPlan on the same plan with the
+  /// same seed and `budget.max_scan_units = b`: both run the one budget
+  /// walk in the same spend order and assemble in frontier order. The
+  /// synopsis must outlive the session.
   std::unique_ptr<EstimationSession> StartSessionOverPlan(
       WorkPlan plan, const Rect& predicate, uint64_t seed) const;
 
@@ -116,15 +123,28 @@ class Synopsis final : public AqpSystem {
 
  protected:
   // AqpSystem hooks (reached through the public non-virtual entry points):
-  /// Anytime: spends at most `options.budget` scan units, in the
-  /// seed-deterministic priority order; skipped leaves fall back to their
-  /// bounds midpoint. An unlimited budget answers in full.
+  /// Full PASS query processing (Section 3.3): MCF index lookup, exact
+  /// aggregation over covered nodes, stratified sample estimation over
+  /// partially-overlapped leaves, CLT interval and deterministic hard
+  /// bounds. Anytime: spends at most `options.budget` scan units, in the
+  /// seed-deterministic spend order; leaves left unscanned contribute the
+  /// bounds-midpoint fallback sample-less leaves always get, and
+  /// `truncated` reports whether any was. An unlimited budget answers in
+  /// full. Under AvgMode::kPaperWeights an unscanned leaf drops out of the
+  /// AVG weights exactly like a no-match leaf always has; the ratio mode
+  /// (the default) keeps full population mass at every budget.
   QueryAnswer AnswerImpl(const Query& query,
                          const AnswerOptions& options) const override;
   /// Anytime fused: one MCF walk + one leaf-sample scan yield SUM, COUNT
   /// and AVG with their exact cross-aggregate covariance; all three
   /// truncate together over the one shared execution set, keeping the
-  /// covariance exact at every budget.
+  /// covariance exact at every budget. The walk skips the AVG-only
+  /// zero-variance rule, so SUM and COUNT are bit-identical to
+  /// per-aggregate answers. The fused AVG is always the ratio estimator,
+  /// the mergeable form a covariance is meaningful for:
+  /// EstimatorOptions::avg_mode applies to AnswerImpl only, so under
+  /// AvgMode::kPaperWeights Answer(kAvg) and the fused avg are different
+  /// estimators by design.
   MultiAnswer AnswerMultiImpl(const Rect& predicate,
                               const AnswerOptions& options) const override;
   /// Resumable fused estimation over the rule-OFF plan of `predicate`.

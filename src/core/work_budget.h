@@ -29,10 +29,13 @@ struct WorkBudget {
   /// answer. Empty = no unit cap.
   std::optional<uint64_t> max_scan_units;
 
-  /// Soft wall-clock cutoff on the monotonic clock: checked between scan
-  /// units, never mid-scan. Unlike max_scan_units this makes the answer
-  /// timing-dependent (hence "soft"); budgets that must be reproducible
-  /// use max_scan_units alone.
+  /// Soft wall-clock cutoff on the monotonic clock: the one budget walk
+  /// (behind Synopsis::PlanFor's plans) checks it between scan units,
+  /// never mid-scan, and stops at the first unit it reaches after the
+  /// cutoff. A deadline therefore cuts the tail of the spend order, so
+  /// the scanned set is a prefix of that order, as under a unit cap.
+  /// Unlike max_scan_units this makes the answer timing-dependent (hence
+  /// "soft"); budgets that must be reproducible use max_scan_units alone.
   std::optional<std::chrono::steady_clock::time_point> soft_deadline;
 
   bool Unlimited() const {

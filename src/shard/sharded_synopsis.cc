@@ -72,9 +72,10 @@ void AttachPriorities(const std::vector<GlobalUnit>& order,
 /// Prefix-admission along the global order: whole nonzero units are
 /// admitted while they fit `budget`, and the walk stops at the first that
 /// does not (zero-cost units are free and always admitted — they add
-/// nothing to any allocation). Mirrors the estimator's SelectUnits rule,
-/// which is what makes the per-shard allocations componentwise monotone
-/// in `budget` and their sum never exceed it.
+/// nothing to any allocation). Mirrors the prefix-stop rule of each
+/// synopsis's own budget walk, which is what makes the per-shard
+/// allocations componentwise monotone in `budget` and their sum never
+/// exceed it.
 std::vector<uint64_t> PrefixAdmit(const std::vector<GlobalUnit>& order,
                                   size_t num_shards, uint64_t budget) {
   std::vector<uint64_t> alloc(num_shards, 0);

@@ -17,9 +17,11 @@
 #include "core/exact.h"
 #include "core/synopsis.h"
 #include "data/generators.h"
+#include "data/workload.h"
 #include "engine/engine_registry.h"
 #include "partition/ensemble.h"
 #include "shard/sharded_synopsis.h"
+#include "stats/quantile.h"
 #include "tests/test_util.h"
 
 namespace pass {
@@ -223,6 +225,44 @@ TEST(Anytime, ExpiredSoftDeadlineStopsAllScans) {
   ASSERT_GT(m.sum.partial_leaves, 0u);
   EXPECT_EQ(m.sum.sample_rows_scanned, 0u);
   EXPECT_TRUE(m.sum.truncated);
+}
+
+// The accuracy side of the anytime trade, over many queries: spending the
+// whole plan never buys a wider median interval than spending a quarter.
+TEST(Anytime, FullBudgetIntervalIsNoWiderThanAQuarterBudgetInTheMedian) {
+  const Dataset data = MakeTaxiDatetime(40000, 77);
+  WorkloadOptions wl;
+  wl.count = 200;
+  wl.seed = 7;
+  const std::vector<Query> queries = RandomRangeQueries(data, wl);
+  for (const size_t k : {size_t{1}, size_t{4}}) {
+    EngineConfig config;
+    config.sample_rate = 0.02;
+    config.partitions = 64;
+    config.num_shards = k;
+    config.seed = 327;
+    auto engine =
+        EngineRegistry::Global().Create("sharded_pass", data, config);
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    std::vector<double> quarter;
+    std::vector<double> full;
+    for (size_t i = 0; i < queries.size(); ++i) {
+      const Rect& predicate = queries[i].predicate;
+      const uint64_t plan =
+          (*engine)->AnswerMulti(predicate).sum.scan_units_planned;
+      AnswerOptions options;
+      options.seed = i;
+      options.budget.max_scan_units = plan / 4;
+      quarter.push_back((*engine)
+                            ->AnswerMulti(predicate, options)
+                            .sum.estimate.HalfWidth(kLambda99));
+      options.budget.max_scan_units = plan;
+      full.push_back((*engine)
+                         ->AnswerMulti(predicate, options)
+                         .sum.estimate.HalfWidth(kLambda99));
+    }
+    EXPECT_LE(Median(full), Median(quarter)) << "K=" << k;
+  }
 }
 
 // ---------------------------------------------------------------------------

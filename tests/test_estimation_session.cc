@@ -5,6 +5,7 @@
 /// PlanCost/UnitsScanned accounting matches the plan. Systems without an
 /// anytime path return no session.
 
+#include <chrono>
 #include <memory>
 #include <string>
 #include <vector>
@@ -13,6 +14,7 @@
 
 #include "core/synopsis.h"
 #include "data/generators.h"
+#include "data/workload.h"
 #include "engine/engine_registry.h"
 #include "stats/confidence.h"
 #include "tests/test_util.h"
@@ -136,6 +138,102 @@ TEST(EstimationSession, SmallerCapAfterLargerReassemblesThatBudget) {
   const uint64_t scanned = session->UnitsScanned();
   ExpectMultiBitIdentical(session->AdvanceTo(plan / 2), full);
   EXPECT_EQ(session->UnitsScanned(), scanned);
+}
+
+// Out-of-line query construction sidesteps a GCC 12 -O3 -Wnonnull false
+// positive on the inlined empty-Rect copy-assign.
+Query WithAgg(AggregateType agg, const Rect& predicate) {
+  Query q;
+  q.agg = agg;
+  q.predicate = predicate;
+  return q;
+}
+
+// The per-aggregate budgeted path spends the same units as the session:
+// a budgeted Answer(kSum) or Answer(kCount) at cap b is the session's sum
+// or count at b, bit for bit.
+TEST(EstimationSession, BudgetedSumAndCountMatchTheSessionAtEveryCap) {
+  const Dataset data = MakeIntelLike(12000, 509);
+  for (const size_t k : {size_t{1}, size_t{2}, size_t{4}}) {
+    const auto system = MustCreate("sharded_pass", data, k);
+    for (const Rect& predicate : TestPredicates(data)) {
+      const uint64_t seed = 23;
+      const auto session = system->StartSession(predicate, seed);
+      ASSERT_NE(session, nullptr);
+      const uint64_t plan = session->PlanCost();
+      for (const uint64_t cap : {uint64_t{0}, plan / 3, plan / 2, plan}) {
+        const MultiAnswer resumed = session->AdvanceTo(cap);
+        AnswerOptions options;
+        options.budget.max_scan_units = cap;
+        options.seed = seed;
+        ExpectAnswersBitIdentical(
+            system->Answer(WithAgg(AggregateType::kSum, predicate), options),
+            resumed.sum);
+        ExpectAnswersBitIdentical(
+            system->Answer(WithAgg(AggregateType::kCount, predicate),
+                           options),
+            resumed.count);
+      }
+    }
+  }
+}
+
+// A soft deadline that never arrives admits every unit, so whatever order
+// the walk spends them in, it answers what the unlimited budget answers.
+TEST(EstimationSession, FarSoftDeadlineAnswersLikeTheUnlimitedBudget) {
+  const Dataset data = MakeIntelLike(12000, 513);
+  for (const size_t k : {size_t{1}, size_t{2}, size_t{4}}) {
+    const auto system = MustCreate("sharded_pass", data, k);
+    AnswerOptions options;
+    options.budget.soft_deadline =
+        std::chrono::steady_clock::now() + std::chrono::hours(1);
+    options.seed = 29;
+    for (const Rect& predicate : TestPredicates(data)) {
+      ExpectMultiBitIdentical(system->AnswerMulti(predicate, options),
+                              system->AnswerMulti(predicate));
+      for (const AggregateType agg :
+           {AggregateType::kSum, AggregateType::kCount, AggregateType::kAvg,
+            AggregateType::kMin, AggregateType::kMax}) {
+        const Query q = WithAgg(agg, predicate);
+        ExpectAnswersBitIdentical(system->Answer(q, options),
+                                  system->Answer(q));
+      }
+    }
+  }
+}
+
+// Resuming one session up the {25, 50, 100}% ladder scans every unit once,
+// exactly the plan; a fresh budgeted answer at each rung re-scans the
+// rung's whole prefix.
+TEST(EstimationSession, ResumingTheLadderScansLessThanRestarting) {
+  const Dataset data = MakeIntelLike(12000, 515);
+  WorkloadOptions wl;
+  wl.count = 50;
+  wl.seed = 13;
+  const std::vector<Query> queries = RandomRangeQueries(data, wl);
+  for (const size_t k : {size_t{1}, size_t{2}, size_t{4}}) {
+    const auto system = MustCreate("sharded_pass", data, k);
+    uint64_t resumed = 0;
+    uint64_t restarted = 0;
+    for (size_t i = 0; i < queries.size(); ++i) {
+      const Rect& predicate = queries[i].predicate;
+      const auto session = system->StartSession(predicate, i);
+      ASSERT_NE(session, nullptr);
+      const uint64_t plan = session->PlanCost();
+      for (const uint64_t pct : {25u, 50u, 100u}) {
+        const uint64_t cap = plan * pct / 100;
+        (void)session->AdvanceTo(cap);
+        AnswerOptions options;
+        options.budget.max_scan_units = cap;
+        options.seed = i;
+        restarted +=
+            system->AnswerMulti(predicate, options).sum.sample_rows_scanned;
+      }
+      EXPECT_EQ(session->UnitsScanned(), plan) << "K=" << k;
+      resumed += session->UnitsScanned();
+    }
+    EXPECT_LT(resumed, restarted) << "K=" << k;
+  }
 }
 
 TEST(EstimationSession, NonBudgetSystemsReturnNoSession) {

@@ -17,6 +17,7 @@
 #include "core/synopsis.h"
 #include "data/generators.h"
 #include "engine/engine_registry.h"
+#include "jit/kernel_cache.h"
 #include "shard/sharded_synopsis.h"
 #include "tests/test_util.h"
 
@@ -276,19 +277,25 @@ TEST(MultiAnswer, ShardedAvgReportedWorkEqualsActualScans) {
     base.num_leaves = 32;
     base.sample_rate = 0.02;
     base.seed = 91;
+    // The per-engine kernel tier counters record every leaf scan; the
+    // shards share this one.
+    base.estimator.kernel_cache = std::make_shared<KernelCache>();
     ShardedBuildOptions options;
     options.shard.num_shards = k;
     options.base = base;
     Result<ShardedSynopsis> sharded = BuildShardedSynopsis(data, options);
     ASSERT_TRUE(sharded.ok());
+    const auto total_scans = [&sharded] {
+      const KernelTierStats stats = sharded->ScanKernelCache()->Stats();
+      return stats.fixed_scans + stats.generic_scans;
+    };
 
     const Query avg_q = RangeQueryOnDim(AggregateType::kAvg,
                                         data.NumPredDims(), 0, 3137.0,
                                         9421.0);
-    const uint64_t scans_before = StratifiedSample::TotalScanCalls();
+    const uint64_t scans_before = total_scans();
     const QueryAnswer avg = sharded->Answer(avg_q);
-    const uint64_t scans_performed =
-        StratifiedSample::TotalScanCalls() - scans_before;
+    const uint64_t scans_performed = total_scans() - scans_before;
 
     // Exactly one leaf-sample scan per reported partial leaf: one synopsis
     // evaluation per shard, never the pre-fusion triple.

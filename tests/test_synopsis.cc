@@ -244,6 +244,22 @@ TEST(SynopsisUpdates, DeletePatchesCountsAndSums) {
   EXPECT_NEAR(s.tree().node(s.tree().root()).stats.sum, sum_before - a, 1e-6);
 }
 
+// A row must carry one value per predicate dimension: a short row would
+// be routed by reading past it, and a long one written past the node
+// rectangles and the sample's columns.
+TEST(SynopsisUpdates, RowsOfTheWrongArityAreRejected) {
+  const Dataset data = MakeTaxiLike(4000, 69).WithPredDims(3);
+  BuildOptions options;
+  options.num_leaves = 16;
+  Synopsis s = MustBuild(data, options);
+  const uint64_t before = s.NumRows();
+  EXPECT_FALSE(s.Insert({0.5}, 1.0));
+  EXPECT_FALSE(s.Insert({0.5, 0.5, 0.5, 0.5}, 1.0));
+  EXPECT_FALSE(s.Delete({0.5}, 1.0));
+  EXPECT_EQ(s.NumRows(), before);
+  EXPECT_TRUE(s.tree().ValidateInvariants().ok());
+}
+
 TEST(SynopsisUpdates, HardBoundsSurviveUpdates) {
   Dataset data = MakeIntelLike(20000, 66);
   BuildOptions options;
