@@ -1,8 +1,9 @@
 /// Prints a bit-level digest of answers from every registered engine, plus
 /// sharded (K in {2, 4}), resumed-session and cache-hit paths, on a fixed
-/// dataset and workload. Every floating-point field is shown as its raw
-/// hex bit pattern, so two builds can be compared for exact bit-identity
-/// by diffing stdout:
+/// dataset and workload, and of the default (ADP) builds: the greedy kd
+/// expansion on 3-D data and the 1-D DP, unsharded and at K=4. Every
+/// floating-point field is shown as its raw hex bit pattern, so two builds
+/// can be compared for exact bit-identity by diffing stdout:
 ///
 ///   build-simd/answer_digest  > simd.txt
 ///   build-scalar/answer_digest > scalar.txt   # -DPASS_SIMD=OFF
@@ -53,9 +54,7 @@ void PrintAnswer(const char* label, const QueryAnswer& a) {
               a.truncated ? 1 : 0);
 }
 
-std::unique_ptr<AqpSystem> MakeEngine(const Dataset& data,
-                                      const std::string& name,
-                                      size_t num_shards, bool cache) {
+EngineConfig DigestConfig(size_t num_shards, bool cache) {
   EngineConfig config;
   config.sample_rate = 0.02;
   config.partitions = 16;
@@ -63,9 +62,21 @@ std::unique_ptr<AqpSystem> MakeEngine(const Dataset& data,
   config.num_shards = num_shards;
   config.seed = 42;
   config.cache.enabled = cache;
+  return config;
+}
+
+std::unique_ptr<AqpSystem> MakeEngine(const Dataset& data,
+                                      const std::string& name,
+                                      const EngineConfig& config) {
   auto engine = EngineRegistry::Global().Create(name, data, config);
   PASS_CHECK_MSG(engine.ok(), engine.status().ToString().c_str());
   return std::move(engine).value();
+}
+
+std::unique_ptr<AqpSystem> MakeEngine(const Dataset& data,
+                                      const std::string& name,
+                                      size_t num_shards, bool cache) {
+  return MakeEngine(data, name, DigestConfig(num_shards, cache));
 }
 
 }  // namespace
@@ -139,6 +150,36 @@ int main() {
     for (size_t i = 0; i < queries.size(); ++i) {
       std::snprintf(label, sizeof(label), "cache_hit q%zu", i);
       PrintAnswer(label, cached->Answer(queries[i]));
+    }
+  }
+
+  // Default-strategy builds. Every row above builds equal-depth leaves;
+  // these pin the partitions the ADP builds produce: the greedy kd
+  // expansion over three dims, then the 1-D DP unsharded and at K=4. A
+  // larger sample keeps most 3-D answers off an empty match.
+  for (const size_t k : {1u, 4u}) {
+    EngineConfig adp = DigestConfig(k, /*cache=*/false);
+    adp.strategy = PartitionStrategy::kAdp;
+    adp.partitions = 32;
+    adp.sample_rate = 0.1;
+    if (k == 1) {
+      const Dataset data3 = data.WithPredDims(3);
+      WorkloadOptions wl3 = wl;
+      wl3.template_dims = {0, 1, 2};
+      const std::vector<Query> queries3 = RandomRangeQueries(data3, wl3);
+      const auto kd = MakeEngine(data3, "pass", adp);
+      for (size_t i = 0; i < queries3.size(); ++i) {
+        std::snprintf(label, sizeof(label), "adp_kd3 q%zu", i);
+        PrintAnswer(label, kd->Answer(queries3[i]));
+      }
+    }
+    const Dataset data1 = data.WithPredDims(1);
+    const std::vector<Query> queries1 = RandomRangeQueries(data1, wl);
+    const auto engine =
+        MakeEngine(data1, k == 1 ? "pass" : "sharded_pass", adp);
+    for (size_t i = 0; i < queries1.size(); ++i) {
+      std::snprintf(label, sizeof(label), "adp_1d_k%zu q%zu", k, i);
+      PrintAnswer(label, engine->Answer(queries1[i]));
     }
   }
   return 0;
