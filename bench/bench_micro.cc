@@ -79,21 +79,31 @@ std::string JsonPath() {
   return env != nullptr ? env : "BENCH_micro.json";
 }
 
-/// Times `samples` batches of `ops_per_sample` calls to the single-op
-/// callable and returns per-operation latencies in ms. Inner repetition
-/// keeps each sample well above clock resolution for sub-microsecond
-/// kernels.
-std::vector<double> TimeKernel(size_t samples, size_t ops_per_sample,
-                               const std::function<void()>& op) {
-  std::vector<double> per_op_ms;
-  per_op_ms.reserve(samples);
+/// Times `samples` batches of `ops_per_sample` calls to each single-op
+/// callable and returns per-operation latencies in ms, one vector per
+/// callable. The callables take their samples in turn, one batch each per
+/// round, so drift in the host's speed lands on all of them alike. Inner
+/// repetition keeps each sample well above clock resolution for
+/// sub-microsecond kernels.
+std::vector<std::vector<double>> TimeKernelsInterleaved(
+    size_t samples, size_t ops_per_sample,
+    const std::vector<std::function<void()>>& ops) {
+  std::vector<std::vector<double>> per_op_ms(ops.size());
+  for (std::vector<double>& ms : per_op_ms) ms.reserve(samples);
   for (size_t s = 0; s < samples; ++s) {
-    Stopwatch timer;
-    for (size_t i = 0; i < ops_per_sample; ++i) op();
-    per_op_ms.push_back(timer.ElapsedMillis() /
-                        static_cast<double>(ops_per_sample));
+    for (size_t k = 0; k < ops.size(); ++k) {
+      Stopwatch timer;
+      for (size_t i = 0; i < ops_per_sample; ++i) ops[k]();
+      per_op_ms[k].push_back(timer.ElapsedMillis() /
+                             static_cast<double>(ops_per_sample));
+    }
   }
   return per_op_ms;
+}
+
+std::vector<double> TimeKernel(size_t samples, size_t ops_per_sample,
+                               const std::function<void()>& op) {
+  return TimeKernelsInterleaved(samples, ops_per_sample, {op}).front();
 }
 
 /// Kernel rows reuse the method-row shape so the JSON stays one flat
@@ -751,8 +761,9 @@ int main() {
   // contested (same shape as the simd sweep) and both are checked
   // bit-identical before timing. CI asserts fixed rows/sec >= generic at
   // d >= 2, where the per-block descriptor loop the fixed kernels delete
-  // is widest. The jit_sweep_ row names predate the fixed kernels' move
-  // behind ScanColumns and are kept so the series stays comparable.
+  // is widest, so the two take their samples in turn. The jit_sweep_ row
+  // names predate the fixed kernels' move behind ScanColumns and are kept
+  // so the series stays comparable.
   {
     constexpr size_t kSweepRows = 8192;  // unscaled: in-run comparison only
     Rng jit_rng(4243);
@@ -794,13 +805,16 @@ int main() {
                (void)ScanColumns(agg.data(), kSweepRows, all_dims.data(), d);
              }},
         };
-        for (const Variant& v : variants) {
+        const std::vector<std::vector<double>> timings =
+            TimeKernelsInterleaved(30, 50, {variants[0].op, variants[1].op});
+        for (size_t k = 0; k < timings.size(); ++k) {
+          const Variant& v = variants[k];
           char name[48];
           std::snprintf(name, sizeof(name), "jit_sweep_%s_d%zu_s%d", v.name,
                         d, sel);
           MethodRow row;
           row.method = name;
-          const std::vector<double> per_op_ms = TimeKernel(30, 50, v.op);
+          const std::vector<double>& per_op_ms = timings[k];
           row.p50_latency_ms = Quantile(per_op_ms, 0.5);
           row.p95_latency_ms = Quantile(per_op_ms, 0.95);
           row.ops_per_sec =
@@ -821,6 +835,12 @@ int main() {
   const Dataset build_data = MakeTaxiDatetime(Scaled(50'000), 78);
   rows.push_back(KernelRow("build_synopsis", TimeKernel(3, 1, [&build_data] {
     (void)MustBuildSynopsis(build_data, PassDefaults());
+  })));
+  // The greedy kd build at scan_solo's shape (3-D taxi data, 1024 leaves,
+  // 5% sample) and a tenth of its rows.
+  const Dataset kd_data = MakeTaxiLike(Scaled(200'000)).WithPredDims(3);
+  rows.push_back(KernelRow("build_synopsis_kd3", TimeKernel(5, 1, [&kd_data] {
+    (void)MustBuildSynopsis(kd_data, PassDefaults(1024, 0.05));
   })));
 
   TablePrinter kernels({"kernel", "p50_ms/op", "p95_ms/op", "ops/s"});

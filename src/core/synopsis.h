@@ -76,7 +76,6 @@ class Synopsis final : public AqpSystem {
   }
   size_t NumLeaves() const { return tree_.NumLeaves(); }
   const EstimatorOptions& options() const { return options_; }
-  EstimatorOptions& mutable_options() { return options_; }
 
   /// The kernel tier counters every leaf scan records into (installed by
   /// the registry; nullptr on a synopsis built directly).

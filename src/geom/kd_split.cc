@@ -2,90 +2,104 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/macros.h"
 
 namespace pass {
+namespace {
 
-double SliceMedian(const std::vector<double>& column,
-                   const std::vector<uint32_t>& permutation, size_t begin,
-                   size_t end) {
-  PASS_CHECK(begin < end && end <= permutation.size());
-  std::vector<double> vals;
-  vals.reserve(end - begin);
-  for (size_t i = begin; i < end; ++i) vals.push_back(column[permutation[i]]);
-  const size_t mid = vals.size() / 2;
-  std::nth_element(vals.begin(), vals.begin() + static_cast<long>(mid),
-                   vals.end());
-  return vals[mid];
+/// Value of rank (end - begin) / 2 among values[begin, end), found by
+/// std::nth_element on a contiguous copy in `scratch`.
+double RangeMedian(const std::vector<double>& values, size_t begin, size_t end,
+                   std::vector<double>* scratch) {
+  scratch->assign(values.begin() + static_cast<long>(begin),
+                  values.begin() + static_cast<long>(end));
+  const auto mid = scratch->begin() + static_cast<long>(scratch->size() / 2);
+  std::nth_element(scratch->begin(), mid, scratch->end());
+  return *mid;
 }
 
-Rect SliceBounds(const std::vector<const std::vector<double>*>& columns,
-                 const std::vector<uint32_t>& permutation, size_t begin,
-                 size_t end) {
-  Rect bounds(columns.size());
-  for (size_t dim = 0; dim < columns.size(); ++dim) {
-    const auto& col = *columns[dim];
-    for (size_t i = begin; i < end; ++i) {
-      bounds.dim(dim).Expand(col[permutation[i]]);
-    }
-  }
-  return bounds;
+/// Moves the element at values[begin + i] to values[begin + dest[i]].
+template <typename T>
+void Scatter(const std::vector<uint32_t>& dest, size_t begin,
+             std::vector<T>* values, std::vector<T>* scratch) {
+  scratch->resize(dest.size());
+  T* range = values->data() + begin;
+  for (size_t i = 0; i < dest.size(); ++i) (*scratch)[dest[i]] = range[i];
+  std::copy(scratch->begin(), scratch->end(), range);
 }
 
-std::vector<KdChildSlice> MultiSplit(
-    const std::vector<const std::vector<double>*>& columns,
-    std::vector<uint32_t>* permutation, size_t begin, size_t end,
-    const Rect& parent_condition) {
-  PASS_CHECK(permutation != nullptr);
-  PASS_CHECK(begin < end && end <= permutation->size());
-  const size_t d = columns.size();
+}  // namespace
+
+std::vector<KdChildSlice> MultiSplit(const std::vector<size_t>& split_dims,
+                                     size_t begin, size_t end,
+                                     const Rect& parent_condition,
+                                     KdRowStore* rows) {
+  PASS_CHECK(rows != nullptr);
+  PASS_CHECK(begin < end && end <= rows->ids.size());
+  const size_t d = split_dims.size();
   PASS_CHECK(d >= 1 && d <= kMaxKdDims);
-  PASS_CHECK(parent_condition.NumDims() == d);
+  PASS_CHECK(parent_condition.NumDims() == rows->pred.size());
+  for (const size_t dim : split_dims) PASS_CHECK(dim < rows->pred.size());
+  const size_t n = end - begin;
 
-  // Per-dimension median thresholds. A row goes to the "low" side of
-  // dimension j iff value <= median_j.
+  // Per-dimension median thresholds, then each row's orthant code (bit j
+  // set = high side of split_dims[j]), one column pass per dimension.
+  std::vector<double> scratch;
   std::vector<double> medians(d);
+  std::vector<uint32_t> code(n, 0);
   for (size_t j = 0; j < d; ++j) {
-    medians[j] = SliceMedian(*columns[j], *permutation, begin, end);
+    const std::vector<double>& col = rows->pred[split_dims[j]];
+    medians[j] = RangeMedian(col, begin, end, &scratch);
+    const double median = medians[j];
+    for (size_t i = 0; i < n; ++i) {
+      code[i] |= static_cast<uint32_t>(col[begin + i] > median) << j;
+    }
   }
 
-  // Bucket rows by orthant id (bit j set = high side of dimension j).
+  // Orthant sizes, then each orthant's first position relative to begin.
   const size_t num_orthants = size_t{1} << d;
-  std::vector<std::vector<uint32_t>> buckets(num_orthants);
-  for (size_t i = begin; i < end; ++i) {
-    const uint32_t row = (*permutation)[i];
-    size_t code = 0;
-    for (size_t j = 0; j < d; ++j) {
-      if ((*columns[j])[row] > medians[j]) code |= size_t{1} << j;
-    }
-    buckets[code].push_back(row);
-  }
+  std::vector<size_t> next(num_orthants + 1, 0);
+  for (const uint32_t c : code) ++next[c + 1];
 
-  // Rewrite the permutation slice bucket-by-bucket and emit child slices.
   std::vector<KdChildSlice> children;
-  size_t cursor = begin;
-  for (size_t code = 0; code < num_orthants; ++code) {
-    if (buckets[code].empty()) continue;
-    KdChildSlice child;
-    child.begin = cursor;
-    for (const uint32_t row : buckets[code]) (*permutation)[cursor++] = row;
-    child.end = cursor;
-    child.condition = parent_condition;
-    for (size_t j = 0; j < d; ++j) {
-      Interval& iv = child.condition.dim(j);
-      if (code & (size_t{1} << j)) {
-        // High side: (median, hi]. Closed intervals on doubles: use the
-        // smallest representable value above the median as the low edge.
-        iv.lo = std::nextafter(medians[j],
-                               std::numeric_limits<double>::infinity());
-      } else {
-        iv.hi = medians[j];
+  for (size_t c = 0; c < num_orthants; ++c) {
+    if (next[c + 1] != 0) {
+      KdChildSlice child;
+      child.begin = begin + next[c];
+      child.end = child.begin + next[c + 1];
+      child.condition = parent_condition;
+      for (size_t j = 0; j < d; ++j) {
+        Interval& iv = child.condition.dim(split_dims[j]);
+        if (c & (size_t{1} << j)) {
+          // High side: (median, hi]. Closed intervals on doubles: use the
+          // smallest representable value above the median as the low
+          // edge.
+          iv.lo = std::nextafter(medians[j],
+                                 std::numeric_limits<double>::infinity());
+        } else {
+          iv.hi = medians[j];
+        }
       }
+      children.push_back(std::move(child));
     }
-    children.push_back(std::move(child));
+    next[c + 1] += next[c];
   }
-  PASS_CHECK(cursor == end);
+  PASS_CHECK(next[num_orthants] == n);
+  if (children.size() == 1) return children;  // nothing moves
+
+  // Stable counting-sort scatter: a row's destination is the next free
+  // position of its orthant, taken in parent order. Every array moves by
+  // the same destinations, so rows stay whole.
+  std::vector<uint32_t>& dest = code;
+  for (uint32_t& c : dest) c = static_cast<uint32_t>(next[c]++);
+  for (std::vector<double>& col : rows->pred) {
+    Scatter(dest, begin, &col, &scratch);
+  }
+  Scatter(dest, begin, &rows->agg, &scratch);
+  std::vector<uint32_t> id_scratch;
+  Scatter(dest, begin, &rows->ids, &id_scratch);
   return children;
 }
 

@@ -152,6 +152,25 @@ class LeafScorer {
   size_t window_;
 };
 
+/// Aggregates of the store's rows in `slice`, added in store order.
+AggregateStats RangeStats(const KdRowStore& rows, const RowSlice& slice) {
+  AggregateStats stats;
+  for (size_t i = slice.first; i < slice.second; ++i) stats.Add(rows.agg[i]);
+  return stats;
+}
+
+/// Tight bounding box of the store's rows in `slice` over every predicate
+/// column (see ComputeSliceBounds).
+Rect RangeBounds(const KdRowStore& rows, const RowSlice& slice) {
+  Rect bounds(rows.pred.size());
+  for (size_t dim = 0; dim < rows.pred.size(); ++dim) {
+    const std::vector<double>& col = rows.pred[dim];
+    Interval& iv = bounds.dim(dim);
+    for (size_t i = slice.first; i < slice.second; ++i) iv.Expand(col[i]);
+  }
+  return bounds;
+}
+
 }  // namespace
 
 KdBuildResult BuildKdPartition(const Dataset& data,
@@ -166,10 +185,18 @@ KdBuildResult BuildKdPartition(const Dataset& data,
   }
   for (const size_t dim : dims) PASS_CHECK(dim < data.NumPredDims());
 
-  KdBuildResult out;
-  out.perm.resize(n);
-  std::iota(out.perm.begin(), out.perm.end(), 0u);
+  // Every column in permutation order, starting from row-id order; each
+  // node below is one contiguous range of it. The id array becomes `perm`.
+  KdRowStore rows;
+  rows.pred.reserve(data.NumPredDims());
+  for (size_t dim = 0; dim < data.NumPredDims(); ++dim) {
+    rows.pred.push_back(data.pred_column(dim));
+  }
+  rows.agg = data.agg_column();
+  rows.ids.resize(n);
+  std::iota(rows.ids.begin(), rows.ids.end(), 0u);
 
+  KdBuildResult out;
   Rng rng(options.seed);
   const size_t m = std::min(options.opt_sample_size, n);
   std::vector<size_t> opt_sample = SampleWithoutReplacement(n, m, &rng);
@@ -179,18 +206,11 @@ KdBuildResult BuildKdPartition(const Dataset& data,
                                           static_cast<double>(m))));
   LeafScorer scorer(data, dims, options.optimize_for, ratio, window);
 
-  // Column pointers (in partition-dim order) for MultiSplit.
-  std::vector<const std::vector<double>*> split_cols;
-  split_cols.reserve(dims.size());
-  for (const size_t dim : dims) split_cols.push_back(&data.pred_column(dim));
-
-  const size_t full_d = data.NumPredDims();
-
   // Root node over everything.
   PartitionTree::Node root_node;
-  root_node.condition = Rect::All(full_d);
-  root_node.stats = ComputeSliceStats(data, out.perm, {0, n});
-  root_node.data_bounds = ComputeSliceBounds(data, out.perm, {0, n});
+  root_node.condition = Rect::All(data.NumPredDims());
+  root_node.stats = RangeStats(rows, {0, n});
+  root_node.data_bounds = RangeBounds(rows, {0, n});
   const int32_t root = out.tree.AddNode(std::move(root_node));
   out.tree.SetRoot(root);
 
@@ -202,7 +222,7 @@ KdBuildResult BuildKdPartition(const Dataset& data,
   open[0].slice = {0, n};
   open[0].sample_rows.reserve(m);
   for (const size_t idx : opt_sample) {
-    open[0].sample_rows.push_back(out.perm[idx]);
+    open[0].sample_rows.push_back(rows.ids[idx]);
   }
   open[0].score = scorer.Score(open[0].sample_rows);
 
@@ -257,17 +277,10 @@ KdBuildResult BuildKdPartition(const Dataset& data,
     if (pick + 1 != open.size()) open[pick] = std::move(open.back());
     open.pop_back();
 
-    // Project the node's condition onto the partition dims for MultiSplit,
-    // then re-embed child conditions into the full predicate space. Copy:
-    // AddNode below may reallocate the node storage.
-    const Rect full_cond = out.tree.node(leaf.node).condition;
-    Rect projected(dims.size());
-    for (size_t j = 0; j < dims.size(); ++j) {
-      projected.dim(j) = full_cond.dim(dims[j]);
-    }
-    std::vector<KdChildSlice> children =
-        MultiSplit(split_cols, &out.perm, leaf.slice.first, leaf.slice.second,
-                   projected);
+    // Copy: AddNode below may reallocate the node storage.
+    const Rect condition = out.tree.node(leaf.node).condition;
+    const std::vector<KdChildSlice> children =
+        MultiSplit(dims, leaf.slice.first, leaf.slice.second, condition, &rows);
     if (children.size() <= 1) {
       leaf.splittable = false;  // all points identical on partition dims
       open.push_back(std::move(leaf));
@@ -277,13 +290,10 @@ KdBuildResult BuildKdPartition(const Dataset& data,
     const uint32_t parent_depth = out.tree.node(leaf.node).depth;
     for (const KdChildSlice& child : children) {
       PartitionTree::Node node;
-      node.condition = full_cond;
-      for (size_t j = 0; j < dims.size(); ++j) {
-        node.condition.dim(dims[j]) = child.condition.dim(j);
-      }
+      node.condition = child.condition;
       const RowSlice slice{child.begin, child.end};
-      node.stats = ComputeSliceStats(data, out.perm, slice);
-      node.data_bounds = ComputeSliceBounds(data, out.perm, slice);
+      node.stats = RangeStats(rows, slice);
+      node.data_bounds = RangeBounds(rows, slice);
       node.depth = parent_depth + 1;
       const int32_t id = out.tree.AddNode(std::move(node));
       out.tree.AddChild(leaf.node, id);
@@ -295,9 +305,8 @@ KdBuildResult BuildKdPartition(const Dataset& data,
       child_leaf.slice = slice;
       for (const uint32_t row : leaf.sample_rows) {
         bool inside = true;
-        for (size_t j = 0; j < dims.size(); ++j) {
-          if (!child.condition.dim(j).Contains(
-                  data.pred(dims[j], row))) {
+        for (const size_t dim : dims) {
+          if (!child.condition.dim(dim).Contains(data.pred(dim, row))) {
             inside = false;
             break;
           }
@@ -318,6 +327,7 @@ KdBuildResult BuildKdPartition(const Dataset& data,
     const int32_t node_id = out.tree.leaves()[leaf_id];
     out.leaf_slices[leaf_id] = node_slices[static_cast<size_t>(node_id)];
   }
+  out.perm = std::move(rows.ids);
   return out;
 }
 

@@ -1,8 +1,8 @@
 #include "storage/dataset.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
-#include <numeric>
 #include <sstream>
 #include <utility>
 
@@ -89,11 +89,27 @@ Dataset Dataset::Subset(const std::vector<uint32_t>& row_ids) const {
 
 std::vector<uint32_t> Dataset::SortedPermutation(size_t dim) const {
   PASS_CHECK(dim < pred_cols_.size());
-  std::vector<uint32_t> perm(NumRows());
-  std::iota(perm.begin(), perm.end(), 0u);
   const auto& col = pred_cols_[dim];
-  std::stable_sort(perm.begin(), perm.end(),
-                   [&col](uint32_t a, uint32_t b) { return col[a] < col[b]; });
+  // Sorts (value, row) pairs, so no comparison reads through an index.
+  // Equal values (-0.0 and +0.0 included) order by row, which is the
+  // order a stable sort on value gives; NaN sorts after every number.
+  struct Keyed {
+    double value;
+    uint32_t row;
+  };
+  std::vector<Keyed> keyed(col.size());
+  for (size_t row = 0; row < col.size(); ++row) {
+    keyed[row] = {col[row], static_cast<uint32_t>(row)};
+  }
+  std::sort(keyed.begin(), keyed.end(), [](const Keyed& a, const Keyed& b) {
+    if (a.value < b.value) return true;
+    if (b.value < a.value) return false;
+    const bool a_nan = std::isnan(a.value);
+    if (a_nan != std::isnan(b.value)) return !a_nan;
+    return a.row < b.row;
+  });
+  std::vector<uint32_t> perm(keyed.size());
+  for (size_t i = 0; i < keyed.size(); ++i) perm[i] = keyed[i].row;
   return perm;
 }
 

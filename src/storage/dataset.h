@@ -79,7 +79,8 @@ class Dataset {
   /// be < NumRows().
   Dataset Subset(const std::vector<uint32_t>& row_ids) const;
 
-  /// Row ids 0..N-1 sorted ascending by predicate column `dim` (stable).
+  /// Row ids 0..N-1 sorted ascending by predicate column `dim`. Equal
+  /// values keep row order, as in a stable sort; NaN sorts last.
   std::vector<uint32_t> SortedPermutation(size_t dim) const;
 
   /// In-memory footprint of the raw columns, in bytes (storage accounting

@@ -1,7 +1,9 @@
 #include "storage/dataset.h"
 
+#include <cmath>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -41,10 +43,24 @@ TEST(Dataset, SortedPermutationIsStableOnTies) {
   d.AddRow({5.0}, 1.0);
   d.AddRow({5.0}, 2.0);
   d.AddRow({1.0}, 3.0);
+  d.AddRow({0.0}, 4.0);
+  d.AddRow({-0.0}, 5.0);  // compares equal to the +0.0 row before it
   const auto perm = d.SortedPermutation(0);
-  EXPECT_EQ(perm[0], 2u);
-  EXPECT_EQ(perm[1], 0u);  // original order preserved among equal keys
-  EXPECT_EQ(perm[2], 1u);
+  ASSERT_EQ(perm.size(), 5u);
+  EXPECT_EQ(perm[0], 3u);  // original order preserved among equal keys
+  EXPECT_EQ(perm[1], 4u);
+  EXPECT_EQ(perm[2], 2u);
+  EXPECT_EQ(perm[3], 0u);
+  EXPECT_EQ(perm[4], 1u);
+}
+
+TEST(Dataset, SortedPermutationPutsNanLast) {
+  Dataset d("v", {"x"});
+  d.AddRow({std::nan("")}, 1.0);
+  d.AddRow({2.0}, 2.0);
+  d.AddRow({std::nan("")}, 3.0);
+  d.AddRow({-1.0}, 4.0);
+  EXPECT_EQ(d.SortedPermutation(0), (std::vector<uint32_t>{3, 1, 0, 2}));
 }
 
 TEST(Dataset, WithPredDimsProjects) {
