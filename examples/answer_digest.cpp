@@ -1,4 +1,5 @@
-/// Prints a bit-level digest of answers from every registered engine, plus
+/// Prints a bit-level digest of answers from every registered engine (SUM,
+/// COUNT and AVG, and the paper-weights AVG where an engine has one), plus
 /// sharded (K in {2, 4}), resumed-session and cache-hit paths, on a fixed
 /// dataset and workload, and of the default (ADP) builds: the greedy kd
 /// expansion on 3-D data and the 1-D DP, unsharded and at K=4. Every
@@ -54,6 +55,19 @@ void PrintAnswer(const char* label, const QueryAnswer& a) {
               a.truncated ? 1 : 0);
 }
 
+/// The workload's SUM rows carry no tag, so their labels read as before
+/// COUNT and AVG rows joined the digest.
+const char* AggTag(AggregateType agg) {
+  if (agg == AggregateType::kCount) return " count";
+  if (agg == AggregateType::kAvg) return " avg";
+  return "";
+}
+
+Query WithAgg(Query query, AggregateType agg) {
+  query.agg = agg;
+  return query;
+}
+
 EngineConfig DigestConfig(size_t num_shards, bool cache) {
   EngineConfig config;
   config.sample_rate = 0.02;
@@ -95,13 +109,31 @@ int main() {
   const std::vector<Query> queries = RandomRangeQueries(data, wl);
   char label[96];
 
-  // Every registered engine on the shared workload.
+  // Every registered engine on the shared workload: its SUM queries, then
+  // COUNT and AVG over the same ranges.
   for (const std::string& name : EngineRegistry::Global().Names()) {
     const auto engine = MakeEngine(data, name, /*num_shards=*/1,
                                    /*cache=*/false);
+    for (const AggregateType agg :
+         {AggregateType::kSum, AggregateType::kCount, AggregateType::kAvg}) {
+      for (size_t i = 0; i < queries.size(); ++i) {
+        std::snprintf(label, sizeof(label), "%s%s q%zu", name.c_str(),
+                      AggTag(agg), i);
+        PrintAnswer(label, engine->Answer(WithAgg(queries[i], agg)));
+      }
+    }
+  }
+
+  // The paper-weights AVG estimator (AvgMode::kPaperWeights) of every
+  // engine that offers one.
+  for (const char* name : {"pass", "uniform", "stratified"}) {
+    EngineConfig config = DigestConfig(/*num_shards=*/1, /*cache=*/false);
+    config.estimator.avg_mode = AvgMode::kPaperWeights;
+    const auto engine = MakeEngine(data, name, config);
     for (size_t i = 0; i < queries.size(); ++i) {
-      std::snprintf(label, sizeof(label), "%s q%zu", name.c_str(), i);
-      PrintAnswer(label, engine->Answer(queries[i]));
+      std::snprintf(label, sizeof(label), "%s avg_pw q%zu", name, i);
+      PrintAnswer(label,
+                  engine->Answer(WithAgg(queries[i], AggregateType::kAvg)));
     }
   }
 
