@@ -1,5 +1,5 @@
-/// Ablations over PASS's own design choices (the knobs DESIGN.md calls
-/// out): AVG estimator mode, the 0-variance rule, finite population
+/// Ablations over PASS's own design choices (knobs of EstimatorOptions and
+/// BuildOptions): AVG estimator mode, the 0-variance rule, finite population
 /// correction, sample allocation policy, hierarchy fanout, and the
 /// optimizer's oracle (discretized ADP vs exact-oracle DP on a reduced
 /// optimization sample).

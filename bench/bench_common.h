@@ -3,7 +3,7 @@
 
 /// Shared scaffolding for the paper-reproduction bench binaries. Every
 /// binary prints the same rows/series the corresponding paper table/figure
-/// reports; EXPERIMENTS.md records paper-vs-measured.
+/// reports.
 ///
 /// Scale: datasets/query counts default to container-friendly sizes
 /// (~100-300k rows, a few hundred queries). Set PASS_BENCH_SCALE=10 to

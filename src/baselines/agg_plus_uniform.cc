@@ -69,15 +69,13 @@ QueryAnswer AggregatePlusUniformSystem::AnswerImpl(
   out.exact = frontier.partial.empty();
 
   // Scan the global uniform sample for the gap (matched rows inside
-  // partially-overlapped partitions); min/max observed along the way.
-  const size_t k_samp = sample_.size();
+  // partially-overlapped partitions): one stratum spanning the whole
+  // table, beside the exact covered aggregates.
+  SampledStratum gap;
+  gap.n_pop = static_cast<double>(population_rows_);
+  gap.k_samp = static_cast<double>(sample_.size());
   const size_t d = sample_.NumDims();
-  double gap_sum = 0.0;
-  double gap_sum_sq = 0.0;
-  uint64_t gap_matched = 0;
-  std::optional<double> observed_min;
-  std::optional<double> observed_max;
-  for (size_t i = 0; i < k_samp; ++i) {
+  for (size_t i = 0; i < sample_.size(); ++i) {
     if (!is_partial[static_cast<size_t>(sample_leaf_[i])]) continue;
     bool match = true;
     for (size_t dim = 0; dim < d; ++dim) {
@@ -88,14 +86,20 @@ QueryAnswer AggregatePlusUniformSystem::AnswerImpl(
     }
     if (!match) continue;
     const double a = sample_.agg(i);
-    ++gap_matched;
-    gap_sum += a;
-    gap_sum_sq += a * a;
-    observed_min = observed_min ? std::min(*observed_min, a) : a;
-    observed_max = observed_max ? std::max(*observed_max, a) : a;
+    gap.scan.min = gap.scan.matched > 0 ? std::min(gap.scan.min, a) : a;
+    gap.scan.max = gap.scan.matched > 0 ? std::max(gap.scan.max, a) : a;
+    ++gap.scan.matched;
+    gap.scan.sum += a;
+    gap.scan.sum_sq += a * a;
   }
 
-  out.matched_sample_rows = gap_matched;
+  out.matched_sample_rows = gap.scan.matched;
+  std::optional<double> observed_min;
+  std::optional<double> observed_max;
+  if (gap.scan.matched > 0) {
+    observed_min = gap.scan.min;
+    observed_max = gap.scan.max;
+  }
   const HardBounds hard =
       ComputeHardBounds(tree_, frontier.covered, frontier.partial, query.agg,
                         observed_min, observed_max);
@@ -104,49 +108,20 @@ QueryAnswer AggregatePlusUniformSystem::AnswerImpl(
     out.hard_ub = hard.ub;
   }
 
-  const double n_pop = static_cast<double>(population_rows_);
-  const double k_total = static_cast<double>(k_samp);
+  SumCountAccumulator acc(covered, options_.use_fpc);
+  acc.AddSampled(gap);
   switch (query.agg) {
     case AggregateType::kSum:
-    case AggregateType::kCount: {
-      const bool is_sum = query.agg == AggregateType::kSum;
-      const double s = is_sum ? gap_sum : static_cast<double>(gap_matched);
-      const double ss =
-          is_sum ? gap_sum_sq : static_cast<double>(gap_matched);
-      const StratumEstimate gap =
-          EstimateStratumSum(n_pop, k_total, s, ss, options_.use_fpc);
-      out.estimate.value = (is_sum ? covered.sum
-                                   : static_cast<double>(covered.count)) +
-                           gap.value;
-      out.estimate.variance = gap.variance;
+      out.estimate = acc.sum();
       break;
-    }
-    case AggregateType::kAvg: {
-      const double km = static_cast<double>(gap_matched);
-      const StratumEstimate es = EstimateStratumSum(
-          n_pop, k_total, gap_sum, gap_sum_sq, options_.use_fpc);
-      const StratumEstimate ec =
-          EstimateStratumSum(n_pop, k_total, km, km, options_.use_fpc);
-      const double fpc = options_.use_fpc
-                             ? FinitePopulationCorrection(n_pop, k_total)
-                             : 1.0;
-      const double cov =
-          n_pop * n_pop / k_total *
-          (gap_sum / k_total - (gap_sum / k_total) * (km / k_total)) * fpc;
-      const double a = covered.sum + es.value;
-      const double b = static_cast<double>(covered.count) + ec.value;
-      if (b <= 0.0) {
-        out.estimate = {0.0, 0.0};
-      } else {
-        const double ratio = a / b;
-        out.estimate.value = ratio;
-        out.estimate.variance = std::max(
-            0.0, (es.variance - 2.0 * ratio * cov +
-                  ratio * ratio * ec.variance) /
-                     (b * b));
-      }
+    case AggregateType::kCount:
+      out.estimate = acc.count();
       break;
-    }
+    case AggregateType::kAvg:
+      // With no evidence of a matching row the answer reads 0.
+      out.estimate = RatioEstimate(acc.sum(), acc.count(), acc.sum_count_cov(),
+                                   Estimate{});
+      break;
     case AggregateType::kMin:
     case AggregateType::kMax: {
       const bool is_min = query.agg == AggregateType::kMin;
@@ -251,28 +226,8 @@ AggregatePlusUniformSystem MakeAqpPlusPlus(const Dataset& data,
   const std::vector<size_t> sample_cuts = HillClimbSampleCuts(
       prefix, ratio, m, options.num_partitions, options.max_iterations);
 
-  // Map the sample cuts to dataset positions (value thresholds).
-  std::vector<size_t> cuts;
-  cuts.push_back(0);
-  for (size_t i = 1; i + 1 < sample_cuts.size(); ++i) {
-    const size_t c = sample_cuts[i];
-    if (c == 0 || c > m) continue;
-    const double threshold = sample_pred[c - 1];
-    size_t lo = 0;
-    size_t hi = n;
-    while (lo < hi) {
-      const size_t mid = lo + (hi - lo) / 2;
-      if (col[perm[mid]] <= threshold) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    cuts.push_back(lo);
-  }
-  cuts.push_back(n);
-  std::sort(cuts.begin(), cuts.end());
-  cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
+  const std::vector<size_t> cuts =
+      MapSampleCutsToData(sample_cuts, sample_pred, col, perm);
 
   // Flat "tree": one root over B leaf partitions (AQP++ has no hierarchy).
   std::vector<RowSlice> leaf_slices;

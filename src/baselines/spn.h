@@ -12,10 +12,11 @@ namespace pass {
 
 /// DeepDB-like baseline: a miniature relational sum-product network learned
 /// from (a fraction of) the data, answering COUNT/SUM/AVG by expectation
-/// propagation over histogram leaves. See DESIGN.md for the substitution
-/// rationale — this captures DeepDB's qualitative profile from the paper's
-/// Table 2: tiny query latency, model-limited accuracy that does not
-/// improve with more training data, weak on higher-dimensional predicates.
+/// propagation over histogram leaves. See README.md ("Substitutions") for
+/// the substitution rationale — this captures DeepDB's qualitative
+/// profile from the paper's Table 2: tiny query latency, model-limited
+/// accuracy that does not improve with more training data, weak on
+/// higher-dimensional predicates.
 ///
 /// Structure learning follows the standard recipe:
 ///  * column split into independent groups when all cross-group |Pearson

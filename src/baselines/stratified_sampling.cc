@@ -63,16 +63,18 @@ QueryAnswer StratifiedSamplingSystem::AnswerImpl(
   QueryAnswer out;
   out.population_rows = population_rows_;
 
-  struct Hit {
-    const Stratum* stratum;
-    StratifiedSample::ScanResult scan;
-  };
-  std::vector<Hit> hits;
+  // Every stratum the query's box touches is scanned; there is no exact
+  // part, since even a fully covered stratum answers from its sample.
+  std::vector<SampledStratum> hits;
+  SumCountAccumulator acc(AggregateStats{}, options_.use_fpc);
   uint64_t touched_rows = 0;
   for (const Stratum& s : strata_) {
     if (!query.predicate.Intersects(s.bounds)) continue;
-    Hit hit{&s,
-            s.sample.Scan(query.predicate, options_.kernel_cache.get())};
+    SampledStratum hit;
+    hit.n_pop = static_cast<double>(s.rows);
+    hit.k_samp = static_cast<double>(s.sample.size());
+    hit.scan = s.sample.Scan(query.predicate, options_.kernel_cache.get());
+    acc.AddSampled(hit);
     out.sample_rows_scanned += s.sample.size();
     out.matched_sample_rows += hit.scan.matched;
     touched_rows += s.rows;
@@ -82,102 +84,27 @@ QueryAnswer StratifiedSamplingSystem::AnswerImpl(
 
   switch (query.agg) {
     case AggregateType::kSum:
-    case AggregateType::kCount: {
-      const bool is_sum = query.agg == AggregateType::kSum;
-      double value = 0.0;
-      double variance = 0.0;
-      for (const Hit& h : hits) {
-        const double s =
-            is_sum ? h.scan.sum : static_cast<double>(h.scan.matched);
-        const double ss =
-            is_sum ? h.scan.sum_sq : static_cast<double>(h.scan.matched);
-        const StratumEstimate est = EstimateStratumSum(
-            static_cast<double>(h.stratum->rows),
-            static_cast<double>(h.stratum->sample.size()), s, ss,
-            options_.use_fpc);
-        value += est.value;
-        variance += est.variance;
-      }
-      out.estimate.value = value;
-      out.estimate.variance = variance;
+      out.estimate = acc.sum();
       break;
-    }
-    case AggregateType::kAvg: {
+    case AggregateType::kCount:
+      out.estimate = acc.count();
+      break;
+    case AggregateType::kAvg:
+      // With no matched sample row either estimator reads 0.
       if (options_.avg_mode == AvgMode::kRatio) {
-        double a = 0.0;
-        double b = 0.0;
-        double var_a = 0.0;
-        double var_b = 0.0;
-        double cov = 0.0;
-        for (const Hit& h : hits) {
-          if (h.scan.matched == 0) continue;
-          const double n_pop = static_cast<double>(h.stratum->rows);
-          const double k_samp =
-              static_cast<double>(h.stratum->sample.size());
-          const double k = static_cast<double>(h.scan.matched);
-          const StratumEstimate es = EstimateStratumSum(
-              n_pop, k_samp, h.scan.sum, h.scan.sum_sq, options_.use_fpc);
-          const StratumEstimate ec =
-              EstimateStratumSum(n_pop, k_samp, k, k, options_.use_fpc);
-          const double fpc =
-              options_.use_fpc ? FinitePopulationCorrection(n_pop, k_samp)
-                               : 1.0;
-          a += es.value;
-          b += ec.value;
-          var_a += es.variance;
-          var_b += ec.variance;
-          cov += n_pop * n_pop / k_samp *
-                 (h.scan.sum / k_samp -
-                  (h.scan.sum / k_samp) * (k / k_samp)) *
-                 fpc;
-        }
-        if (b <= 0.0) {
-          out.estimate = {0.0, 0.0};
-        } else {
-          const double ratio = a / b;
-          out.estimate.value = ratio;
-          out.estimate.variance = std::max(
-              0.0,
-              (var_a - 2.0 * ratio * cov + ratio * ratio * var_b) / (b * b));
-        }
+        out.estimate = RatioEstimate(acc.sum(), acc.count(),
+                                     acc.sum_count_cov(), Estimate{});
       } else {
-        // Paper weights: w_i = N_i / N_q over strata with matches.
-        double n_q = 0.0;
-        for (const Hit& h : hits) {
-          if (h.scan.matched > 0) n_q += static_cast<double>(h.stratum->rows);
-        }
-        if (n_q <= 0.0) {
-          out.estimate = {0.0, 0.0};
-          break;
-        }
-        double value = 0.0;
-        double variance = 0.0;
-        for (const Hit& h : hits) {
-          if (h.scan.matched == 0) continue;
-          const double n_pop = static_cast<double>(h.stratum->rows);
-          const double k_samp =
-              static_cast<double>(h.stratum->sample.size());
-          const double k = static_cast<double>(h.scan.matched);
-          const double w = n_pop / n_q;
-          value += (h.scan.sum / k) * w;
-          double v = (h.scan.sum_sq - h.scan.sum * h.scan.sum / k_samp) /
-                     (k * k);
-          if (options_.use_fpc) {
-            v *= FinitePopulationCorrection(n_pop, k_samp);
-          }
-          variance += w * w * std::max(0.0, v);
-        }
-        out.estimate.value = value;
-        out.estimate.variance = variance;
+        out.estimate = PaperWeightsAvg(AggregateStats{}, hits, options_.use_fpc,
+                                       Estimate{});
       }
       break;
-    }
     case AggregateType::kMin:
     case AggregateType::kMax: {
       const bool is_min = query.agg == AggregateType::kMin;
       bool seen = false;
       double best = 0.0;
-      for (const Hit& h : hits) {
+      for (const SampledStratum& h : hits) {
         if (h.scan.matched == 0) continue;
         const double v = is_min ? h.scan.min : h.scan.max;
         if (!seen) {

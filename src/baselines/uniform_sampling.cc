@@ -1,6 +1,5 @@
 #include "baselines/uniform_sampling.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/rng.h"
@@ -38,61 +37,37 @@ QueryAnswer UniformSamplingSystem::AnswerImpl(
   QueryAnswer out;
   out.population_rows = population_rows_;
   out.sample_rows_scanned = sample_.size();
-  const StratifiedSample::ScanResult scan =
-      sample_.Scan(query.predicate, options_.kernel_cache.get());
-  out.matched_sample_rows = scan.matched;
-  const double n_pop = static_cast<double>(population_rows_);
-  const double k_samp = static_cast<double>(sample_.size());
-  const double fpc =
-      options_.use_fpc ? FinitePopulationCorrection(n_pop, k_samp) : 1.0;
+  // The whole table is one stratum, with no exact part.
+  SampledStratum table;
+  table.n_pop = static_cast<double>(population_rows_);
+  table.k_samp = static_cast<double>(sample_.size());
+  table.scan = sample_.Scan(query.predicate, options_.kernel_cache.get());
+  out.matched_sample_rows = table.scan.matched;
+  SumCountAccumulator acc(AggregateStats{}, options_.use_fpc);
+  acc.AddSampled(table);
 
   switch (query.agg) {
     case AggregateType::kSum:
-    case AggregateType::kCount: {
-      const bool is_sum = query.agg == AggregateType::kSum;
-      const double s =
-          is_sum ? scan.sum : static_cast<double>(scan.matched);
-      const double ss =
-          is_sum ? scan.sum_sq : static_cast<double>(scan.matched);
-      const StratumEstimate est =
-          EstimateStratumSum(n_pop, k_samp, s, ss, options_.use_fpc);
-      out.estimate.value = est.value;
-      out.estimate.variance = est.variance;
+      out.estimate = acc.sum();
       break;
-    }
-    case AggregateType::kAvg: {
-      const double k = static_cast<double>(scan.matched);
-      if (scan.matched == 0) {
-        out.estimate = {0.0, 0.0};
-        break;
-      }
+    case AggregateType::kCount:
+      out.estimate = acc.count();
+      break;
+    case AggregateType::kAvg:
+      // With no matched sample row either estimator reads 0.
       if (options_.avg_mode == AvgMode::kRatio) {
-        const StratumEstimate es = EstimateStratumSum(
-            n_pop, k_samp, scan.sum, scan.sum_sq, options_.use_fpc);
-        const StratumEstimate ec =
-            EstimateStratumSum(n_pop, k_samp, k, k, options_.use_fpc);
-        const double cov =
-            n_pop * n_pop / k_samp *
-            (scan.sum / k_samp - (scan.sum / k_samp) * (k / k_samp)) * fpc;
-        const double ratio = es.value / ec.value;
-        out.estimate.value = ratio;
-        out.estimate.variance = std::max(
-            0.0, (es.variance - 2.0 * ratio * cov + ratio * ratio *
-                  ec.variance) / (ec.value * ec.value));
+        out.estimate = RatioEstimate(acc.sum(), acc.count(),
+                                     acc.sum_count_cov(), Estimate{});
       } else {
-        // phi = pred * (K / K_pred) * a (Section 2.1).
-        out.estimate.value = scan.sum / k;
-        const double v =
-            (scan.sum_sq - scan.sum * scan.sum / k_samp) / (k * k);
-        out.estimate.variance = std::max(0.0, v) * fpc;
+        out.estimate = PaperWeightsAvg(AggregateStats{}, {table},
+                                       options_.use_fpc, Estimate{});
       }
       break;
-    }
     case AggregateType::kMin:
-      out.estimate.value = scan.matched > 0 ? scan.min : 0.0;
+      out.estimate.value = table.scan.matched > 0 ? table.scan.min : 0.0;
       break;
     case AggregateType::kMax:
-      out.estimate.value = scan.matched > 0 ? scan.max : 0.0;
+      out.estimate.value = table.scan.matched > 0 ? table.scan.max : 0.0;
       break;
   }
   return out;

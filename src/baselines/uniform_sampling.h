@@ -46,8 +46,8 @@ class UniformSamplingSystem final : public AqpSystem {
 
 /// VerdictDB-like scramble: identical estimation machinery, but named and
 /// accounted as a stored scramble table of the given ratio (Table 2's
-/// VerdictDB-10% / VerdictDB-100% rows). See DESIGN.md for the
-/// substitution rationale.
+/// VerdictDB-10% / VerdictDB-100% rows). README.md ("Substitutions")
+/// gives the substitution rationale.
 UniformSamplingSystem MakeScramble(const Dataset& data, double ratio,
                                    uint64_t seed,
                                    EstimatorOptions options = {});

@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "common/macros.h"
+#include "core/estimator.h"
 
 namespace pass {
 namespace {
@@ -226,25 +227,15 @@ MultiAnswer MergeShardMulti(const std::vector<MultiAnswer>& parts) {
     avg.hard_ub = ub;
   }
 
-  const double count = out.count.estimate.value;
-  if (count > 0.0) {
-    const double ratio = out.sum.estimate.value / count;
-    avg.estimate.value = ratio;
-    if (avg.exact) {
-      avg.estimate.variance = 0.0;
-    } else {
-      const double var = (out.sum.estimate.variance -
-                          2.0 * ratio * out.sum_count_cov +
-                          ratio * ratio * out.count.estimate.variance) /
-                         (count * count);
-      avg.estimate.variance = std::max(var, 0.0);
-    }
-  } else {
-    // No evidence of any matching tuple anywhere: fall back to the merged
-    // hard-bound midpoint, mirroring the single-synopsis estimator.
-    avg.estimate = avg.hard_lb
-                       ? MidpointOverBounds(*avg.hard_lb, *avg.hard_ub)
-                       : Estimate{};
+  // The ratio over the merged SUM and COUNT; with no evidence of any
+  // matching tuple anywhere, the merged hard-bound midpoint, mirroring the
+  // single-synopsis estimator. An exact merge has no sampling variance.
+  Estimate no_evidence;
+  if (avg.hard_lb) no_evidence = MidpointOverBounds(*avg.hard_lb, *avg.hard_ub);
+  avg.estimate = RatioEstimate(out.sum.estimate, out.count.estimate,
+                               out.sum_count_cov, no_evidence);
+  if (avg.exact && out.count.estimate.value > 0.0) {
+    avg.estimate.variance = 0.0;
   }
 
   // One fused evaluation per shard: the shared per-shard diagnostics sum

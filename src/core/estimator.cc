@@ -24,6 +24,12 @@ double Fpc(double n_pop, double k_samp, bool enabled) {
   return FinitePopulationCorrection(n_pop, k_samp);
 }
 
+/// Adds an independent stratum's estimate to a running total.
+void AddTo(const Estimate& stratum, Estimate* total) {
+  total->value += stratum.value;
+  total->variance += stratum.variance;
+}
+
 /// One partially-overlapped leaf: its population, its sample size, and the
 /// matched-tuple moments of the single scan over its stratified sample.
 /// `scanned` is false when the work budget excluded this leaf — the
@@ -31,10 +37,8 @@ double Fpc(double n_pop, double k_samp, bool enabled) {
 /// leaf always gets.
 struct PartialScan {
   int32_t node = -1;
-  double n_pop = 0.0;
-  double k_samp = 0.0;
   bool scanned = false;
-  StratifiedSample::ScanResult scan;
+  SampledStratum stratum;
 };
 
 /// Everything one MCF walk plus one (possibly budget-limited) pass over
@@ -59,7 +63,9 @@ struct FrontierScan {
 /// Whether a partial leaf's sampled moments may enter an estimate. A leaf
 /// the budget skipped is treated exactly like a leaf that never had a
 /// sample: deterministic fallback instead of sampled estimation.
-bool HasScan(const PartialScan& p) { return p.scanned && p.k_samp > 0.0; }
+bool HasScan(const PartialScan& p) {
+  return p.scanned && p.stratum.k_samp > 0.0;
+}
 
 /// The MCF walk with the partial leaves enumerated as costed scan units.
 WorkPlan PlanUnits(const PartitionTree& tree,
@@ -89,7 +95,7 @@ void ScanUnit(const PartitionTree& tree,
               const Rect& predicate, const EstimatorOptions& opts,
               PartialScan* p) {
   const PartitionTree::Node& n = tree.node(p->node);
-  p->scan = samples[static_cast<size_t>(n.leaf_id)].Scan(
+  p->stratum.scan = samples[static_cast<size_t>(n.leaf_id)].Scan(
       predicate, n.data_bounds, opts.kernel_cache.get());
   p->scanned = true;
 }
@@ -145,8 +151,8 @@ FrontierScan StartWalk(const PartitionTree& tree,
   for (size_t u = 0; u < fs.units.size(); ++u) {
     PartialScan& p = fs.partials[u];
     p.node = fs.units[u].node;
-    p.n_pop = static_cast<double>(tree.node(p.node).stats.count);
-    p.k_samp = static_cast<double>(fs.units[u].cost);  // sample size
+    p.stratum.n_pop = static_cast<double>(tree.node(p.node).stats.count);
+    p.stratum.k_samp = static_cast<double>(fs.units[u].cost);  // sample size
     if (fs.units[u].cost == 0) ScanUnit(tree, samples, predicate, opts, &p);
   }
 
@@ -208,12 +214,13 @@ void AdvanceWalk(const PartitionTree& tree,
       out.truncated = true;
       continue;
     }
-    out.matched_sample_rows += p.scan.matched;
-    if (p.scan.matched > 0) {
+    const StratifiedSample::ScanResult& scan = p.stratum.scan;
+    out.matched_sample_rows += scan.matched;
+    if (scan.matched > 0) {
       fs->observed_min =
-          std::min(fs->observed_min.value_or(p.scan.min), p.scan.min);
+          std::min(fs->observed_min.value_or(scan.min), scan.min);
       fs->observed_max =
-          std::max(fs->observed_max.value_or(p.scan.max), p.scan.max);
+          std::max(fs->observed_max.value_or(scan.max), scan.max);
     }
   }
 }
@@ -242,81 +249,26 @@ HardBounds BoundsFor(const PartitionTree& tree, const FrontierScan& fs,
                            fs.observed_min, fs.observed_max);
 }
 
-/// SUM/COUNT estimate over a scanned frontier: exact covered contribution
-/// plus one stratum estimator per scanned partial leaf. A leaf with no
-/// sample — or one the budget left unscanned — falls back to the midpoint
-/// of its deterministic contribution bounds, with the variance of a
-/// uniform distribution over that range.
-Estimate AdditiveEstimate(const PartitionTree& tree, const FrontierScan& fs,
-                          bool is_sum, bool use_fpc) {
-  Estimate out;
-  double value = is_sum ? fs.covered_stats.sum
-                        : static_cast<double>(fs.covered_stats.count);
-  double variance = 0.0;
+/// The SUM and COUNT estimators over a scanned frontier: the exact covered
+/// part plus one stratum per partial leaf. A leaf with no sample, or one the
+/// budget left unscanned, falls back to its contribution bounds.
+SumCountAccumulator FoldFrontier(const PartitionTree& tree,
+                                 const FrontierScan& fs, bool use_fpc) {
+  SumCountAccumulator acc(fs.covered_stats, use_fpc);
   for (const PartialScan& p : fs.partials) {
-    if (!HasScan(p)) {
-      const AggregateStats& s = tree.node(p.node).stats;
-      const double cnt = static_cast<double>(s.count);
-      double lo;
-      double hi;
-      if (is_sum) {
-        lo = (s.max <= 0.0) ? s.sum : cnt * std::min(0.0, s.min);
-        hi = (s.min >= 0.0) ? s.sum : cnt * std::max(0.0, s.max);
-      } else {
-        lo = 0.0;
-        hi = cnt;
-      }
-      value += 0.5 * (lo + hi);
-      variance += (hi - lo) * (hi - lo) / 12.0;
-      continue;
+    if (HasScan(p)) {
+      acc.AddSampled(p.stratum);
+    } else {
+      acc.AddUnsampled(tree.node(p.node).stats);
     }
-    const double s =
-        is_sum ? p.scan.sum : static_cast<double>(p.scan.matched);
-    const double ss =
-        is_sum ? p.scan.sum_sq : static_cast<double>(p.scan.matched);
-    const StratumEstimate est =
-        EstimateStratumSum(p.n_pop, p.k_samp, s, ss, use_fpc);
-    value += est.value;
-    variance += est.variance;
   }
-  out.value = value;
-  out.variance = variance;
-  return out;
+  return acc;
 }
 
-/// Exact Cov(SUM estimator, COUNT estimator), summed over the independent
-/// partial strata: per stratum n²·Cov_sample(φ·a, φ)/k·fpc, where
-/// E[(φa)·φ] = E[φa] because the match indicator φ is 0/1. Covered nodes
-/// are deterministic (no covariance); sample-less and budget-skipped
-/// leaves use independent midpoint fallbacks for SUM and COUNT and
-/// contribute 0.
-double SumCountCovariance(const FrontierScan& fs, bool use_fpc) {
-  double cov = 0.0;
-  for (const PartialScan& p : fs.partials) {
-    if (!HasScan(p)) continue;
-    const double k = static_cast<double>(p.scan.matched);
-    const double mean_x = p.scan.sum / p.k_samp;
-    const double mean_y = k / p.k_samp;
-    const double cov_sample = p.scan.sum / p.k_samp - mean_x * mean_y;
-    cov += p.n_pop * p.n_pop * cov_sample / p.k_samp *
-           Fpc(p.n_pop, p.k_samp, use_fpc);
-  }
-  return cov;
-}
-
-/// Delta-method ratio SUM/COUNT. With no evidence of any matching tuple it
-/// reports the hard-bound midpoint if available, else 0, with zero
-/// confidence.
-Estimate RatioEstimate(const Estimate& sum, const Estimate& count,
-                       double cov, const HardBounds& hard) {
-  if (count.value <= 0.0) {
-    return hard.valid ? MidpointOverBounds(hard.lb, hard.ub) : Estimate{};
-  }
-  const double ratio = sum.value / count.value;
-  const double var =
-      (sum.variance - 2.0 * ratio * cov + ratio * ratio * count.variance) /
-      (count.value * count.value);
-  return {ratio, std::max(var, 0.0)};
+/// The answer with no evidence of a matching row: the hard-bound midpoint
+/// if there are bounds, else 0, with zero confidence.
+Estimate NoEvidence(const HardBounds& hard) {
+  return hard.valid ? MidpointOverBounds(hard.lb, hard.ub) : Estimate{};
 }
 
 /// The fused SUM/COUNT/AVG assembly over a (possibly partially) scanned
@@ -349,14 +301,14 @@ MultiAnswer MultiFromFrontier(const PartitionTree& tree,
     out.avg.hard_ub = avg_hard.ub;
   }
 
-  out.sum.estimate = AdditiveEstimate(tree, fs, true, opts.use_fpc);
-  out.count.estimate = AdditiveEstimate(tree, fs, false, opts.use_fpc);
-  out.sum_count_cov = SumCountCovariance(fs, opts.use_fpc);
-  out.avg.estimate = RatioEstimate(out.sum.estimate, out.count.estimate,
-                                   out.sum_count_cov, avg_hard);
+  const SumCountAccumulator acc = FoldFrontier(tree, fs, opts.use_fpc);
+  out.sum.estimate = acc.sum();
+  out.count.estimate = acc.count();
+  out.sum_count_cov = acc.sum_count_cov();
+  out.avg.estimate = RatioEstimate(acc.sum(), acc.count(), acc.sum_count_cov(),
+                                   NoEvidence(avg_hard));
   return out;
 }
-
 
 /// The per-aggregate assembly over a scanned frontier: the twin of
 /// MultiFromFrontier for one aggregate, with EstimatorOptions::avg_mode
@@ -373,55 +325,30 @@ QueryAnswer SingleFromFrontier(const PartitionTree& tree,
 
   switch (agg) {
     case AggregateType::kSum:
-    case AggregateType::kCount:
-      out.estimate = AdditiveEstimate(tree, fs, agg == AggregateType::kSum,
-                                      opts.use_fpc);
+    case AggregateType::kCount: {
+      const SumCountAccumulator acc = FoldFrontier(tree, fs, opts.use_fpc);
+      out.estimate = agg == AggregateType::kSum ? acc.sum() : acc.count();
       break;
+    }
 
     case AggregateType::kAvg: {
       if (opts.avg_mode == AvgMode::kRatio) {
-        // The ratio of the additive SUM and COUNT estimators over this
-        // frontier with their exact covariance — so a sample-less partial
-        // leaf falls back to the same bounds midpoint the SUM/COUNT paths
-        // use instead of silently dropping known population mass.
-        const Estimate sum = AdditiveEstimate(tree, fs, true, opts.use_fpc);
-        const Estimate count =
-            AdditiveEstimate(tree, fs, false, opts.use_fpc);
-        out.estimate = RatioEstimate(
-            sum, count, SumCountCovariance(fs, opts.use_fpc), hard);
+        // The ratio of the SUM and COUNT estimators over this frontier with
+        // their exact covariance — so a sample-less partial leaf falls back
+        // to the same bounds midpoint the SUM/COUNT paths use instead of
+        // silently dropping known population mass.
+        const SumCountAccumulator acc = FoldFrontier(tree, fs, opts.use_fpc);
+        out.estimate = RatioEstimate(acc.sum(), acc.count(),
+                                     acc.sum_count_cov(), NoEvidence(hard));
       } else {
-        // Paper weights: relevant partitions are the covered + 0-variance
-        // nodes and the partial leaves with at least one matched sample
-        // (budget-skipped leaves behave like no-match leaves and drop out
-        // of the weights).
-        double n_q = static_cast<double>(fs.covered_stats.count);
-        for (const PartialScan& p : fs.partials) {
-          if (p.scan.matched > 0) n_q += p.n_pop;
-        }
-        if (n_q <= 0.0) {
-          out.estimate =
-              hard.valid ? MidpointOverBounds(hard.lb, hard.ub) : Estimate{};
-          break;
-        }
-        double value =
-            fs.covered_stats.count > 0
-                ? fs.covered_stats.Mean() *
-                      (static_cast<double>(fs.covered_stats.count) / n_q)
-                : 0.0;
-        double variance = 0.0;
-        for (const PartialScan& p : fs.partials) {
-          if (p.scan.matched == 0) continue;
-          const double k = static_cast<double>(p.scan.matched);
-          const double w = p.n_pop / n_q;
-          value += (p.scan.sum / k) * w;
-          // V_i(q) = (ss - s^2/K) / k^2 (Section 4.2.1 via phi scaling).
-          double v = (p.scan.sum_sq - p.scan.sum * p.scan.sum / p.k_samp) /
-                     (k * k);
-          v = std::max(v, 0.0) * Fpc(p.n_pop, p.k_samp, opts.use_fpc);
-          variance += w * w * v;
-        }
-        out.estimate.value = value;
-        out.estimate.variance = variance;
+        // Paper weights over the covered + 0-variance nodes and the partial
+        // leaves with a matched sample row: a budget-skipped leaf matched
+        // nothing, so it drops out of the weights.
+        std::vector<SampledStratum> strata;
+        strata.reserve(fs.partials.size());
+        for (const PartialScan& p : fs.partials) strata.push_back(p.stratum);
+        out.estimate = PaperWeightsAvg(fs.covered_stats, strata, opts.use_fpc,
+                                       NoEvidence(hard));
       }
       break;
     }
@@ -487,9 +414,9 @@ class TreeSession final : public EstimationSession {
 
 }  // namespace
 
-StratumEstimate EstimateStratumSum(double n_pop, double k_samp, double s,
-                                   double ss, bool use_fpc) {
-  StratumEstimate out;
+Estimate EstimateStratumSum(double n_pop, double k_samp, double s, double ss,
+                            bool use_fpc) {
+  Estimate out;
   if (k_samp <= 0.0 || n_pop <= 0.0) return out;
   const double mean_phi = s / k_samp;                  // E[pred*a]
   double var_phi = ss / k_samp - mean_phi * mean_phi;  // Var(pred*a)
@@ -497,6 +424,70 @@ StratumEstimate EstimateStratumSum(double n_pop, double k_samp, double s,
   out.value = n_pop * mean_phi;
   out.variance =
       n_pop * n_pop * var_phi / k_samp * Fpc(n_pop, k_samp, use_fpc);
+  return out;
+}
+
+SumCountAccumulator::SumCountAccumulator(const AggregateStats& exact,
+                                         bool use_fpc)
+    : use_fpc_(use_fpc),
+      sum_{exact.sum, 0.0},
+      count_{static_cast<double>(exact.count), 0.0} {}
+
+void SumCountAccumulator::AddSampled(const SampledStratum& stratum) {
+  const double n = stratum.n_pop;
+  const double k = stratum.k_samp;
+  // Without the guard an empty sample makes the covariance 0/0, and a NaN
+  // survives RatioEstimate's clamp.
+  if (k <= 0.0 || n <= 0.0) return;
+  const StratifiedSample::ScanResult& scan = stratum.scan;
+  const double matched = static_cast<double>(scan.matched);
+  AddTo(EstimateStratumSum(n, k, scan.sum, scan.sum_sq, use_fpc_), &sum_);
+  AddTo(EstimateStratumSum(n, k, matched, matched, use_fpc_), &count_);
+  // n²·Cov_sample(φ·a, φ)/k·fpc, where E[(φa)·φ] = E[φa] because the match
+  // indicator φ is 0/1.
+  const double mean_sum = scan.sum / k;
+  const double cov_sample = mean_sum - mean_sum * (matched / k);
+  cov_ += n * n * cov_sample / k * Fpc(n, k, use_fpc_);
+}
+
+void SumCountAccumulator::AddUnsampled(const AggregateStats& stratum) {
+  const Interval range = SumContribution(stratum);
+  AddTo(MidpointOverBounds(range.lo, range.hi), &sum_);
+  AddTo(MidpointOverBounds(0.0, static_cast<double>(stratum.count)), &count_);
+}
+
+Estimate RatioEstimate(const Estimate& sum, const Estimate& count, double cov,
+                       const Estimate& no_evidence) {
+  if (count.value <= 0.0) return no_evidence;
+  const double ratio = sum.value / count.value;
+  const double var =
+      (sum.variance - 2.0 * ratio * cov + ratio * ratio * count.variance) /
+      (count.value * count.value);
+  return {ratio, std::max(var, 0.0)};
+}
+
+Estimate PaperWeightsAvg(const AggregateStats& exact,
+                         const std::vector<SampledStratum>& strata,
+                         bool use_fpc, const Estimate& no_evidence) {
+  double n_q = static_cast<double>(exact.count);
+  for (const SampledStratum& s : strata) {
+    if (s.scan.matched > 0) n_q += s.n_pop;
+  }
+  if (n_q <= 0.0) return no_evidence;
+  Estimate out;
+  if (exact.count > 0) {
+    out.value = exact.Mean() * (static_cast<double>(exact.count) / n_q);
+  }
+  for (const SampledStratum& s : strata) {
+    if (s.scan.matched == 0) continue;
+    const double k = static_cast<double>(s.scan.matched);
+    const double w = s.n_pop / n_q;
+    out.value += (s.scan.sum / k) * w;
+    // V_i(q) = (ss - s^2/K) / k^2 (Section 4.2.1 via phi scaling).
+    double v = (s.scan.sum_sq - s.scan.sum * s.scan.sum / s.k_samp) / (k * k);
+    v = std::max(v, 0.0) * Fpc(s.n_pop, s.k_samp, use_fpc);
+    out.variance += w * w * v;
+  }
   return out;
 }
 

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/partition_tree.h"
+#include "core/stratified_sample.h"
 #include "stats/confidence.h"
 
 namespace pass {
@@ -67,18 +68,63 @@ struct WorkPlan {
   std::vector<uint32_t> priority;
 };
 
-/// Per-stratum moments used by SUM/COUNT estimation; exposed for reuse by
-/// baselines (stratified sampling shares the math).
-struct StratumEstimate {
-  double value = 0.0;
-  double variance = 0.0;
+/// One stratum's sampled evidence: its population `n_pop`, the size
+/// `k_samp` of its uniform sample, and the matched-row moments of one scan
+/// over that sample.
+struct SampledStratum {
+  double n_pop = 0.0;
+  double k_samp = 0.0;
+  StratifiedSample::ScanResult scan;
 };
 
 /// SUM estimator for one stratum of population size `n_pop` from a uniform
 /// sample of size `k_samp` in which the matched tuples have sum `s` and
 /// sum of squares `ss`. COUNT is the special case s = ss = matched.
-StratumEstimate EstimateStratumSum(double n_pop, double k_samp, double s,
-                                   double ss, bool use_fpc);
+Estimate EstimateStratumSum(double n_pop, double k_samp, double s, double ss,
+                            bool use_fpc);
+
+/// The stratified estimator of SUM and COUNT (Sections 2.1-2.2 and 3.3):
+/// an exact part plus independent strata, folded in one at a time, with
+/// the Cov(SUM, COUNT) the AVG ratio needs. PASS's exact part is its
+/// covered partitions, AQP++'s its covered aggregates; US and ST have none.
+/// Every caller folds through here, so their answers share one arithmetic.
+class SumCountAccumulator {
+ public:
+  SumCountAccumulator(const AggregateStats& exact, bool use_fpc);
+
+  /// A stratum with a sample scan. An empty sample adds nothing.
+  void AddSampled(const SampledStratum& stratum);
+
+  /// A stratum without a sample, or whose scan a work budget skipped: the
+  /// midpoint of its contribution bounds, with the variance of a uniform
+  /// distribution over them. It adds no covariance: its SUM and COUNT
+  /// fallbacks are independent.
+  void AddUnsampled(const AggregateStats& stratum);
+
+  const Estimate& sum() const { return sum_; }
+  const Estimate& count() const { return count_; }
+  double sum_count_cov() const { return cov_; }
+
+ private:
+  bool use_fpc_;
+  Estimate sum_;
+  Estimate count_;
+  double cov_ = 0.0;
+};
+
+/// Delta-method AVG = SUM / COUNT with the given Cov(SUM, COUNT). With no
+/// evidence of a matching row (COUNT <= 0) it returns `no_evidence`.
+Estimate RatioEstimate(const Estimate& sum, const Estimate& count, double cov,
+                       const Estimate& no_evidence);
+
+/// The paper's AVG (Sections 2.2 and 3.3): the exact part's mean and each
+/// stratum's matched-sample mean, weighted by population share w_i =
+/// N_i / N_q over the exact part and the strata with a matched row, with
+/// variance sum of w_i^2 * V_i(q). With no such part it returns
+/// `no_evidence`.
+Estimate PaperWeightsAvg(const AggregateStats& exact,
+                         const std::vector<SampledStratum>& strata,
+                         bool use_fpc, const Estimate& no_evidence);
 
 }  // namespace pass
 

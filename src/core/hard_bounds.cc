@@ -29,11 +29,9 @@ HardBounds ComputeHardBounds(const PartitionTree& tree,
       double lb = cov.sum;
       double ub = cov.sum;
       for (const int32_t id : partial) {
-        const AggregateStats& s = tree.node(id).stats;
-        const double cnt = static_cast<double>(s.count);
-        // Any subset of the node's values sums within these bounds.
-        lb += (s.max <= 0.0) ? s.sum : cnt * std::min(0.0, s.min);
-        ub += (s.min >= 0.0) ? s.sum : cnt * std::max(0.0, s.max);
+        const Interval part = SumContribution(tree.node(id).stats);
+        lb += part.lo;
+        ub += part.hi;
       }
       out.lb = lb;
       out.ub = ub;

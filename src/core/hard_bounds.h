@@ -1,6 +1,7 @@
 #ifndef PASS_CORE_HARD_BOUNDS_H_
 #define PASS_CORE_HARD_BOUNDS_H_
 
+#include <algorithm>
 #include <optional>
 #include <vector>
 
@@ -17,6 +18,16 @@ struct HardBounds {
   double ub = 0.0;
   bool valid = false;
 };
+
+/// The interval the SUM of any subset of a node's rows lies in:
+/// count * min(0, min) to count * max(0, max), or the node's whole SUM on a
+/// side where no value has the other sign. Both the SUM bounds below and
+/// the estimator's fallback for a leaf without a sample scan use it.
+inline Interval SumContribution(const AggregateStats& stats) {
+  const double cnt = static_cast<double>(stats.count);
+  return {(stats.max <= 0.0) ? stats.sum : cnt * std::min(0.0, stats.min),
+          (stats.min >= 0.0) ? stats.sum : cnt * std::max(0.0, stats.max)};
+}
 
 /// Computes the bounds given the MCF classification. `covered` nodes are
 /// fully inside the query predicate; `partial` nodes overlap it with

@@ -9,7 +9,7 @@ namespace pass {
 
 /// Synthetic stand-ins for the paper's evaluation datasets (Section 5.1.1).
 /// Each generator reproduces the statistical shape the corresponding real
-/// dataset contributes to the experiments; see DESIGN.md ("Substitutions")
+/// dataset contributes to the experiments; see README.md ("Substitutions")
 /// for the rationale. All generators are deterministic in (n, seed).
 
 /// Intel Wireless lab data: `time` predicate -> `light` aggregate. Diurnal

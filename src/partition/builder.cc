@@ -54,39 +54,6 @@ std::vector<size_t> EffectiveDims(const Dataset& data,
   return dims;
 }
 
-/// Maps cut positions found on the sorted optimization sample back to the
-/// full sorted dataset: the cut after sample index c-1 becomes "every row
-/// with predicate value <= sample_pred[c-1] goes left".
-std::vector<size_t> MapSampleCutsToData(
-    const std::vector<size_t>& sample_cuts,
-    const std::vector<double>& sample_pred, const std::vector<double>& col,
-    const std::vector<uint32_t>& perm) {
-  const size_t n = perm.size();
-  std::vector<size_t> cuts;
-  cuts.push_back(0);
-  for (size_t ci = 1; ci + 1 < sample_cuts.size(); ++ci) {
-    const size_t c = sample_cuts[ci];
-    if (c == 0 || c >= sample_pred.size()) continue;
-    const double threshold = sample_pred[c - 1];
-    // First position in the sorted permutation with value > threshold.
-    size_t lo = 0;
-    size_t hi = n;
-    while (lo < hi) {
-      const size_t mid = lo + (hi - lo) / 2;
-      if (col[perm[mid]] <= threshold) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    cuts.push_back(lo);
-  }
-  cuts.push_back(n);
-  std::sort(cuts.begin(), cuts.end());
-  cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
-  return cuts;
-}
-
 Result<PartitionBuildResult> Build1DPartition(const Dataset& data,
                                               const BuildOptions& options,
                                               size_t dim) {

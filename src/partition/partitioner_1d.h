@@ -1,6 +1,7 @@
 #ifndef PASS_PARTITION_PARTITIONER_1D_H_
 #define PASS_PARTITION_PARTITIONER_1D_H_
 
+#include <cstdint>
 #include <functional>
 #include <vector>
 
@@ -28,6 +29,16 @@ struct DpResult {
 /// both the EQ baseline of Section 5.3 and the provably optimal COUNT
 /// partitioning (Lemma A.1).
 std::vector<size_t> EqualDepthBoundaries(size_t n, size_t k);
+
+/// Maps cut positions found on a sorted optimization sample back to the
+/// full dataset sorted by `perm`: the cut after sample index c-1 becomes
+/// "every row with predicate value <= sample_pred[c-1] goes left". Returns
+/// ascending, distinct positions from 0 to perm.size(). The 1-D builder and
+/// AQP++ both place their cuts this way.
+std::vector<size_t> MapSampleCutsToData(
+    const std::vector<size_t>& sample_cuts,
+    const std::vector<double>& sample_pred, const std::vector<double>& col,
+    const std::vector<uint32_t>& perm);
 
 /// The exact dynamic program of Section 4.3 ("strawman"): enumerates every
 /// sub-query through ExactMaxVariance. O(k m^4) — small inputs only; used

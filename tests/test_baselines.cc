@@ -204,6 +204,23 @@ TEST(AqpPlusPlus, HardBoundsContainTruth) {
   }
 }
 
+// A zero-row global sample leaves the gap stratum without evidence. Its
+// covariance is then 0/0, which must not reach the AVG variance as a NaN.
+TEST(AqpPlusPlus, EmptySampleKeepsAvgVarianceFinite) {
+  const Dataset data = MakeUniform(2000);
+  AqpPlusPlusOptions options;
+  options.num_partitions = 16;
+  options.sample_rate = 1e-4;  // rounds to 0 rows
+  const auto aqp = MakeAqpPlusPlus(data, options);
+  ASSERT_EQ(aqp.sample_size(), 0u);
+  const QueryAnswer answer =
+      aqp.Answer(RangeQueryOnDim(AggregateType::kAvg, 1, 0, 0.1, 0.9));
+  ASSERT_GT(answer.covered_nodes, 0u);
+  ASSERT_GT(answer.partial_leaves, 0u);
+  EXPECT_TRUE(std::isfinite(answer.estimate.value));
+  EXPECT_TRUE(std::isfinite(answer.estimate.variance));
+}
+
 TEST(KdUs, MultiDimAnswersReasonable) {
   const Dataset data = MakeTaxiLike(30000, 97).WithPredDims(2);
   KdUsOptions options;

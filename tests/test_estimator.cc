@@ -17,7 +17,7 @@ using testing::RangeQueryOnDim;
 
 TEST(EstimateStratumSum, ScalesByPopulation) {
   // Sample of 4 with matched sum 6 (values 1,2,3 matched; one non-match).
-  const StratumEstimate est = EstimateStratumSum(100.0, 4.0, 6.0, 14.0, false);
+  const Estimate est = EstimateStratumSum(100.0, 4.0, 6.0, 14.0, false);
   EXPECT_DOUBLE_EQ(est.value, 100.0 * 6.0 / 4.0);
   // var(phi) = 14/4 - 1.5^2 = 1.25; var = 100^2 * 1.25 / 4.
   EXPECT_DOUBLE_EQ(est.variance, 10000.0 * 1.25 / 4.0);
@@ -25,14 +25,99 @@ TEST(EstimateStratumSum, ScalesByPopulation) {
 
 TEST(EstimateStratumSum, FullSampleWithFpcHasZeroVariance) {
   // Sampling the entire stratum leaves no estimation uncertainty.
-  const StratumEstimate est = EstimateStratumSum(4.0, 4.0, 6.0, 14.0, true);
+  const Estimate est = EstimateStratumSum(4.0, 4.0, 6.0, 14.0, true);
   EXPECT_DOUBLE_EQ(est.variance, 0.0);
 }
 
 TEST(EstimateStratumSum, EmptySampleYieldsZero) {
-  const StratumEstimate est = EstimateStratumSum(100.0, 0.0, 0.0, 0.0, true);
+  const Estimate est = EstimateStratumSum(100.0, 0.0, 0.0, 0.0, true);
   EXPECT_DOUBLE_EQ(est.value, 0.0);
   EXPECT_DOUBLE_EQ(est.variance, 0.0);
+}
+
+// The shared stratified estimator, checked by hand: an exact part, one
+// sampled stratum and one stratum without a sample.
+TEST(SumCountAccumulator, FoldsExactSampledAndUnsampledStrata) {
+  AggregateStats exact;  // 10 rows summing to 50
+  for (int i = 0; i < 10; ++i) exact.Add(5.0);
+  SampledStratum sampled;  // 4 of 100 rows; 1, 2, 3 match, one does not
+  sampled.n_pop = 100.0;
+  sampled.k_samp = 4.0;
+  sampled.scan.matched = 3;
+  sampled.scan.sum = 6.0;
+  sampled.scan.sum_sq = 14.0;
+  AggregateStats unsampled;  // SUM of a subset lies in [3 * -1, 3 * 5]
+  for (const double v : {-1.0, 2.0, 5.0}) unsampled.Add(v);
+
+  SumCountAccumulator acc(exact, /*use_fpc=*/true);
+  acc.AddSampled(sampled);
+  acc.AddUnsampled(unsampled);
+
+  const double fpc = 96.0 / 99.0;  // (100 - 4) / (100 - 1)
+  // SUM: 100 * 6/4, var(phi) = 14/4 - 1.5^2; fallback midpoint of [-3, 15].
+  EXPECT_DOUBLE_EQ(acc.sum().value, 50.0 + 150.0 + 6.0);
+  EXPECT_DOUBLE_EQ(acc.sum().variance,
+                   1e4 * 1.25 / 4.0 * fpc + 18.0 * 18.0 / 12.0);
+  // COUNT: 100 * 3/4, var(phi) = 3/4 - 0.75^2; fallback midpoint of [0, 3].
+  EXPECT_DOUBLE_EQ(acc.count().value, 10.0 + 75.0 + 1.5);
+  EXPECT_DOUBLE_EQ(acc.count().variance,
+                   1e4 * 0.1875 / 4.0 * fpc + 3.0 * 3.0 / 12.0);
+  // Cov: 100^2 * (6/4 - 1.5 * 0.75) / 4; the fallback adds none.
+  EXPECT_DOUBLE_EQ(acc.sum_count_cov(), 1e4 * 0.375 / 4.0 * fpc);
+}
+
+TEST(SumCountAccumulator, EmptySampleAddsNothing) {
+  AggregateStats exact;
+  exact.Add(2.0);
+  SampledStratum empty;
+  empty.n_pop = 100.0;
+  SumCountAccumulator acc(exact, /*use_fpc=*/true);
+  acc.AddSampled(empty);
+  EXPECT_EQ(acc.sum().value, 2.0);
+  EXPECT_EQ(acc.sum().variance, 0.0);
+  EXPECT_EQ(acc.count().value, 1.0);
+  EXPECT_EQ(acc.sum_count_cov(), 0.0);
+}
+
+TEST(RatioEstimate, FallsBackWithoutPositiveCount) {
+  const Estimate no_evidence{3.0, 0.75};
+  for (const double count : {0.0, -1.0}) {
+    const Estimate avg =
+        RatioEstimate({5.0, 1.0}, {count, 1.0}, 0.5, no_evidence);
+    EXPECT_EQ(avg.value, no_evidence.value);
+    EXPECT_EQ(avg.variance, no_evidence.variance);
+  }
+  // With a positive count: the delta method, (4 - 2*2*1 + 2^2*1) / 5^2.
+  const Estimate avg = RatioEstimate({10.0, 4.0}, {5.0, 1.0}, 1.0, {});
+  EXPECT_DOUBLE_EQ(avg.value, 2.0);
+  EXPECT_DOUBLE_EQ(avg.variance, 4.0 / 25.0);
+}
+
+TEST(PaperWeightsAvg, WeighsTheExactPartByItsShare) {
+  AggregateStats exact;  // 2 rows, mean 3
+  exact.Add(2.0);
+  exact.Add(4.0);
+  SampledStratum matched;  // 4 of 8 rows; 4 and 6 match
+  matched.n_pop = 8.0;
+  matched.k_samp = 4.0;
+  matched.scan.matched = 2;
+  matched.scan.sum = 10.0;
+  matched.scan.sum_sq = 52.0;
+  SampledStratum unmatched;  // no matched row: drops out of the weights
+  unmatched.n_pop = 100.0;
+  unmatched.k_samp = 5.0;
+
+  const Estimate avg = PaperWeightsAvg(exact, {matched, unmatched},
+                                       /*use_fpc=*/true, Estimate{});
+  // N_q = 2 + 8; weights 0.2 and 0.8 on the means 3 and 5.
+  EXPECT_DOUBLE_EQ(avg.value, 3.0 * 0.2 + 5.0 * 0.8);
+  // V = (52 - 10^2/4) / 2^2 times the FPC (8 - 4) / (8 - 1).
+  EXPECT_DOUBLE_EQ(avg.variance, 0.8 * 0.8 * (27.0 / 4.0) * (4.0 / 7.0));
+
+  const Estimate none = PaperWeightsAvg(AggregateStats{}, {unmatched},
+                                        /*use_fpc=*/true, {7.0, 1.0});
+  EXPECT_EQ(none.value, 7.0);
+  EXPECT_EQ(none.variance, 1.0);
 }
 
 // ---------------------------------------------------------------------------

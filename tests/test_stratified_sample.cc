@@ -115,11 +115,11 @@ TEST(StratifiedSample, StratumSumEstimatorIsUnbiasedWithCoverage) {
           sample.AddRow({static_cast<double>(row)}, values[row]);
         }
         const auto scan = sample.Scan(Rect::All(1));
-        const StratumEstimate est = EstimateStratumSum(
+        const Estimate est = EstimateStratumSum(
             static_cast<double>(kPopulation),
             static_cast<double>(sample.size()), scan.sum, scan.sum_sq,
             /*use_fpc=*/true);
-        return Estimate{est.value, est.variance};
+        return est;
       });
   testing::ExpectUnbiased(stats, 0.02);
   testing::ExpectCoverageAtLeast(stats, 0.95, 0.05);
