@@ -1,6 +1,7 @@
 /// Prints a bit-level digest of answers from every registered engine (SUM,
 /// COUNT and AVG, and the paper-weights AVG where an engine has one), plus
-/// sharded (K in {2, 4}), resumed-session and cache-hit paths, on a fixed
+/// sharded (K in {2, 4}), resumed-session, one-shot budgeted (every
+/// aggregate, K in {1, 2, 4}) and cache-hit paths, on a fixed
 /// dataset and workload, and of the default (ADP) builds: the greedy kd
 /// expansion on 3-D data and the 1-D DP, unsharded and at K=4. Every
 /// floating-point field is shown as its raw hex bit pattern, so two builds
@@ -167,6 +168,42 @@ int main() {
       std::snprintf(label, sizeof(label),
                     "session_k%zu cap%" PRIu64 " avg", k, cap);
       PrintAnswer(label, step.avg);
+    }
+  }
+
+  // One-shot budgeted answers: every aggregate through Answer, then the
+  // fused AnswerMulti, at a quarter and half of each query's plan, with a
+  // per-query seed.
+  for (const size_t k : {1u, 2u, 4u}) {
+    const auto engine =
+        MakeEngine(data, "sharded_pass", k, /*cache=*/false);
+    for (size_t i = 0; i < queries.size(); ++i) {
+      const Rect& predicate = queries[i].predicate;
+      const uint64_t plan = engine->StartSession(predicate, 0)->PlanCost();
+      for (const uint64_t cap : {plan / 4, plan / 2}) {
+        AnswerOptions options;
+        options.budget.max_scan_units = cap;
+        options.seed = 3 + i;
+        for (const AggregateType agg :
+             {AggregateType::kSum, AggregateType::kCount, AggregateType::kAvg,
+              AggregateType::kMin, AggregateType::kMax}) {
+          std::snprintf(label, sizeof(label),
+                        "budget_k%zu q%zu cap%" PRIu64 " %s", k, i, cap,
+                        AggregateName(agg));
+          PrintAnswer(label,
+                      engine->Answer(WithAgg(queries[i], agg), options));
+        }
+        const MultiAnswer multi = engine->AnswerMulti(predicate, options);
+        const QueryAnswer MultiAnswer::*parts[] = {
+            &MultiAnswer::sum, &MultiAnswer::count, &MultiAnswer::avg};
+        const char* names[] = {"sum", "count", "avg"};
+        for (size_t p = 0; p < 3; ++p) {
+          std::snprintf(label, sizeof(label),
+                        "budget_k%zu q%zu cap%" PRIu64 " multi %s", k, i,
+                        cap, names[p]);
+          PrintAnswer(label, multi.*parts[p]);
+        }
+      }
     }
   }
 
