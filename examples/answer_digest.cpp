@@ -199,8 +199,8 @@ int main() {
         const char* names[] = {"sum", "count", "avg"};
         for (size_t p = 0; p < 3; ++p) {
           std::snprintf(label, sizeof(label),
-                        "budget_k%zu q%zu cap%" PRIu64 " multi %s", k, i,
-                        cap, names[p]);
+                        "budget_k%zu q%zu cap%" PRIu64 " multi %s", k, i, cap,
+                        names[p]);
           PrintAnswer(label, multi.*parts[p]);
         }
       }

@@ -109,7 +109,15 @@ QueryAnswer AggregatePlusUniformSystem::AnswerImpl(
   }
 
   SumCountAccumulator acc(covered, options_.use_fpc);
-  acc.AddSampled(gap);
+  if (sample_.size() > 0) {
+    acc.AddSampled(gap);
+  } else {
+    // No global sample, so no gap estimate: each partial leaf falls back to
+    // its contribution bounds, as a sample-less PASS leaf does.
+    for (const int32_t id : frontier.partial) {
+      acc.AddUnsampled(tree_.node(id).stats);
+    }
+  }
   switch (query.agg) {
     case AggregateType::kSum:
       out.estimate = acc.sum();

@@ -2,8 +2,10 @@
 #define PASS_CORE_ESTIMATION_SESSION_H_
 
 #include <cstdint>
+#include <optional>
 
 #include "core/answer.h"
+#include "core/work_budget.h"
 
 namespace pass {
 
@@ -28,17 +30,24 @@ namespace pass {
 ///    is never redone and never discarded; calling with a smaller budget
 ///    than already consumed reassembles the current answer.
 ///
+///  * A soft deadline cuts a step short: the walk stops at the first unit
+///    it reaches after the deadline, so the scanned set stays a prefix of
+///    the spend order, and a later deadline-free AdvanceTo(b) still
+///    returns the fresh budgeted answer at `b`. Only the cut step's own
+///    answer depends on the clock.
+///
 /// Sessions are single-threaded and hold references into the system that
-/// created them (the system must outlive the session). They meter
-/// deterministic unit budgets only — soft wall-clock deadlines stay with
-/// the one-shot answering paths, where the clock actually matters.
+/// created them (the system must outlive the session).
 class EstimationSession {
  public:
   virtual ~EstimationSession() = default;
 
-  /// Extends the scanned set up to `max_scan_units` cumulative units and
-  /// returns the refreshed fused SUM/COUNT/AVG answer.
-  virtual MultiAnswer AdvanceTo(uint64_t max_scan_units) = 0;
+  /// Extends the scanned set up to `max_scan_units` cumulative units, or
+  /// to the first unit reached after `soft_deadline`, and returns the
+  /// refreshed fused SUM/COUNT/AVG answer.
+  virtual MultiAnswer AdvanceTo(
+      uint64_t max_scan_units,
+      std::optional<SteadyTime> soft_deadline = std::nullopt) = 0;
 
   /// Total cost of the query's sampled work in scan units — the budget at
   /// which the answer stops tightening (= WorkPlan::total_cost).

@@ -1,16 +1,19 @@
 // The estimation half of Synopsis: the budget walk over a query's scan
-// units and the estimate assembly over its result. Synopsis's query
-// methods are defined here, next to the walk they run.
+// units, on one synopsis or across shards, and the estimate assembly over
+// its result. Synopsis's query methods are defined here, next to the walk
+// they run.
 #include "core/estimator.h"
 
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <limits>
-#include <numeric>
+#include <optional>
+#include <utility>
 
 #include "common/macros.h"
 #include "common/rng.h"
+#include "core/answer_merge.h"
 #include "core/hard_bounds.h"
 #include "core/synopsis.h"
 
@@ -30,6 +33,8 @@ void AddTo(const Estimate& stratum, Estimate* total) {
   total->variance += stratum.variance;
 }
 
+}  // namespace
+
 /// One partially-overlapped leaf: its population, its sample size, and the
 /// matched-tuple moments of the single scan over its stratified sample.
 /// `scanned` is false when the work budget excluded this leaf — the
@@ -41,24 +46,24 @@ struct PartialScan {
   SampledStratum stratum;
 };
 
-/// Everything one MCF walk plus one (possibly budget-limited) pass over
-/// the partial-leaf samples yields, and the budget walk's checkpoint.
-/// Every aggregate estimate below is a pure function of this, so a fused
-/// SUM/COUNT/AVG answer costs exactly one of these, and a resumable
-/// session is one of these advanced in place.
+/// One synopsis's part of a budget walk: its MCF frontier, the scans of
+/// its partial-leaf samples so far, and its diagnostics. Every aggregate
+/// estimate below is a pure function of this, so a fused SUM/COUNT/AVG
+/// answer costs exactly one of these, and a resumable session is one of
+/// these per synopsis advanced in place.
 struct FrontierScan {
+  const Synopsis* synopsis = nullptr;
   PartitionTree::Frontier frontier;
   AggregateStats covered_stats;  // covered + 0-variance nodes merged
+  std::vector<WorkUnit> units;   // the plan's costed units, one per partial
   std::vector<PartialScan> partials;
   std::optional<double> observed_min;
   std::optional<double> observed_max;
-  QueryAnswer base;  // shared diagnostics; estimate and bounds left empty
-
-  std::vector<WorkUnit> units;  // the plan's costed units, one per partial
-  std::vector<uint32_t> order;  // nonzero-cost units, in spend order
-  size_t cursor = 0;            // next candidate in `order`
-  uint64_t used = 0;            // scan units admitted so far
+  QueryAnswer base;   // shared diagnostics; estimate and bounds left empty
+  uint64_t used = 0;  // scan units admitted on this synopsis so far
 };
+
+namespace {
 
 /// Whether a partial leaf's sampled moments may enter an estimate. A leaf
 /// the budget skipped is treated exactly like a leaf that never had a
@@ -90,119 +95,65 @@ WorkPlan PlanUnits(const PartitionTree& tree,
 /// the leaf's tight bounding box proves dims the query fully covers, so
 /// the kernel tests contested dims only. Bit-identical to the unpruned
 /// scan (see StratifiedSample::Scan).
-void ScanUnit(const PartitionTree& tree,
-              const std::vector<StratifiedSample>& samples,
-              const Rect& predicate, const EstimatorOptions& opts,
-              PartialScan* p) {
-  const PartitionTree::Node& n = tree.node(p->node);
-  p->stratum.scan = samples[static_cast<size_t>(n.leaf_id)].Scan(
-      predicate, n.data_bounds, opts.kernel_cache.get());
+void ScanUnit(const Synopsis& synopsis, const Rect& predicate, PartialScan* p) {
+  const PartitionTree::Node& n = synopsis.tree().node(p->node);
+  const StratifiedSample& sample =
+      synopsis.leaf_sample(static_cast<size_t>(n.leaf_id));
+  p->stratum.scan = sample.Scan(predicate, n.data_bounds,
+                                synopsis.options().kernel_cache.get());
   p->scanned = true;
 }
 
-/// The budget walk, step one: frontier bookkeeping, covered aggregate
-/// merging, one not-yet-scanned PartialScan per partial leaf, the
-/// nonzero-cost units put in spend order, and the zero-cost units scanned
-/// (they do no work, so every budget admits them). The spend order is the
-/// plan's explicit priority when it carries one (a sharded fan-out's
-/// global-order restriction), else a seed-deterministic shuffle, so
-/// truncation does not systematically favor tree-order leaves. Without
-/// `in_spend_order` the units stay in frontier order: an unlimited budget
-/// admits them all, so their order cannot matter.
-FrontierScan StartWalk(const PartitionTree& tree,
-                       const std::vector<StratifiedSample>& samples,
-                       const Rect& predicate, WorkPlan plan,
-                       const EstimatorOptions& opts, bool in_spend_order,
-                       uint64_t seed) {
-  FrontierScan fs;
-  fs.frontier = std::move(plan.frontier);
+/// Fills one synopsis's part of a walk from its plan: frontier
+/// bookkeeping, covered aggregate merging, one not-yet-scanned PartialScan
+/// per partial leaf, and the zero-cost units scanned.
+void StartScan(const Synopsis& synopsis, WorkPlan plan, const Rect& predicate,
+               FrontierScan* fs) {
+  const PartitionTree& tree = synopsis.tree();
+  fs->synopsis = &synopsis;
+  fs->frontier = std::move(plan.frontier);
 
-  QueryAnswer& out = fs.base;
-  out.covered_nodes = static_cast<uint32_t>(fs.frontier.covered.size() +
-                                            fs.frontier.zero_var.size());
-  out.partial_leaves = static_cast<uint32_t>(fs.frontier.partial.size());
-  out.nodes_visited = fs.frontier.nodes_visited;
-  if (tree.root() >= 0) {
-    out.population_rows = tree.node(tree.root()).stats.count;
-  }
+  QueryAnswer& out = fs->base;
+  out.covered_nodes = static_cast<uint32_t>(fs->frontier.covered.size() +
+                                            fs->frontier.zero_var.size());
+  out.partial_leaves = static_cast<uint32_t>(fs->frontier.partial.size());
+  out.nodes_visited = fs->frontier.nodes_visited;
+  out.population_rows = synopsis.NumRows();
 
   // Rows the synopsis never has to look at: everything outside the partial
   // leaves (covered partitions are answered from aggregates; disjoint ones
   // are skipped by the index walk).
   uint64_t partial_rows = 0;
-  for (const int32_t id : fs.frontier.partial) {
+  for (const int32_t id : fs->frontier.partial) {
     partial_rows += tree.node(id).stats.count;
   }
   out.population_rows_skipped = out.population_rows - partial_rows;
-  out.exact = fs.frontier.partial.empty() && fs.frontier.zero_var.empty();
+  out.exact = fs->frontier.partial.empty() && fs->frontier.zero_var.empty();
   out.scan_units_planned = plan.total_cost;
 
   // Exact side: merge covered aggregates; 0-variance nodes contribute their
   // constant value with their full cardinality (the paper's rule).
-  for (const int32_t id : fs.frontier.covered) {
-    fs.covered_stats.Merge(tree.node(id).stats);
+  for (const int32_t id : fs->frontier.covered) {
+    fs->covered_stats.Merge(tree.node(id).stats);
   }
-  for (const int32_t id : fs.frontier.zero_var) {
-    fs.covered_stats.Merge(tree.node(id).stats);
+  for (const int32_t id : fs->frontier.zero_var) {
+    fs->covered_stats.Merge(tree.node(id).stats);
   }
 
-  fs.units = std::move(plan.units);
-  fs.partials.resize(fs.units.size());
-  for (size_t u = 0; u < fs.units.size(); ++u) {
-    PartialScan& p = fs.partials[u];
-    p.node = fs.units[u].node;
+  fs->units = std::move(plan.units);
+  fs->partials.resize(fs->units.size());
+  for (size_t u = 0; u < fs->units.size(); ++u) {
+    PartialScan& p = fs->partials[u];
+    p.node = fs->units[u].node;
     p.stratum.n_pop = static_cast<double>(tree.node(p.node).stats.count);
-    p.stratum.k_samp = static_cast<double>(fs.units[u].cost);  // sample size
-    if (fs.units[u].cost == 0) ScanUnit(tree, samples, predicate, opts, &p);
+    p.stratum.k_samp = static_cast<double>(fs->units[u].cost);  // sample size
+    if (fs->units[u].cost == 0) ScanUnit(synopsis, predicate, &p);
   }
-
-  if (in_spend_order && !plan.priority.empty()) {
-    PASS_DCHECK(plan.priority.size() == fs.units.size());
-    fs.order = std::move(plan.priority);
-  } else {
-    fs.order.resize(fs.units.size());
-    std::iota(fs.order.begin(), fs.order.end(), uint32_t{0});
-    if (in_spend_order) {
-      Rng rng(seed);
-      rng.Shuffle(&fs.order);
-    }
-  }
-  fs.order.erase(std::remove_if(fs.order.begin(), fs.order.end(),
-                                [&fs](uint32_t u) {
-                                  return fs.units[u].cost == 0;
-                                }),
-                 fs.order.end());
-  return fs;
 }
 
-/// The budget walk, step two: admits whole units in spend order while each
-/// fits the cumulative cap and the soft deadline has not passed, and stops
-/// at the first that does not. A unit is all-or-nothing (a partial scan of
-/// one leaf's sample would bias its stratum estimator), and stopping
-/// rather than skipping makes the admitted set at any cap a prefix of the
-/// admitted set at every larger one, which is what lets a session resume
-/// from its checkpoint and still match a fresh walk bit for bit. Then
-/// rebuilds the dynamic diagnostics in frontier order, the order every
-/// estimate accumulates in: the budget decides which leaves are scanned,
-/// never the accumulation order.
-void AdvanceWalk(const PartitionTree& tree,
-                 const std::vector<StratifiedSample>& samples,
-                 const Rect& predicate, const EstimatorOptions& opts,
-                 const WorkBudget& budget, FrontierScan* fs) {
-  const uint64_t cap =
-      budget.max_scan_units.value_or(std::numeric_limits<uint64_t>::max());
-  for (; fs->cursor < fs->order.size(); ++fs->cursor) {
-    const uint32_t u = fs->order[fs->cursor];
-    const uint64_t cost = fs->units[u].cost;
-    if (fs->used + cost > cap ||
-        (budget.soft_deadline.has_value() &&
-         std::chrono::steady_clock::now() > *budget.soft_deadline)) {
-      break;
-    }
-    fs->used += cost;
-    ScanUnit(tree, samples, predicate, opts, &fs->partials[u]);
-  }
-
+/// Rebuilds one synopsis's dynamic diagnostics after an advance, in
+/// frontier order.
+void RefreshDiagnostics(FrontierScan* fs) {
   QueryAnswer& out = fs->base;
   out.sample_rows_scanned = fs->used;
   out.matched_sample_rows = 0;
@@ -225,36 +176,23 @@ void AdvanceWalk(const PartitionTree& tree,
   }
 }
 
-/// One-shot execution of a plan: one start plus one advance.
-FrontierScan ExecutePlan(const PartitionTree& tree,
-                         const std::vector<StratifiedSample>& samples,
-                         const Rect& predicate, WorkPlan plan,
-                         const EstimatorOptions& opts,
-                         const AnswerOptions& options) {
-  FrontierScan fs =
-      StartWalk(tree, samples, predicate, std::move(plan), opts,
-                !options.budget.Unlimited(), options.seed);
-  AdvanceWalk(tree, samples, predicate, opts, options.budget, &fs);
-  return fs;
-}
-
 /// Hard bounds need the 0-variance nodes on the *partial* side (their
 /// matched cardinality is unknown even though their value is constant).
-HardBounds BoundsFor(const PartitionTree& tree, const FrontierScan& fs,
-                     AggregateType agg) {
+HardBounds BoundsFor(const FrontierScan& fs, AggregateType agg) {
   std::vector<int32_t> bound_partials = fs.frontier.partial;
   bound_partials.insert(bound_partials.end(), fs.frontier.zero_var.begin(),
                         fs.frontier.zero_var.end());
-  return ComputeHardBounds(tree, fs.frontier.covered, bound_partials, agg,
-                           fs.observed_min, fs.observed_max);
+  return ComputeHardBounds(fs.synopsis->tree(), fs.frontier.covered,
+                           bound_partials, agg, fs.observed_min,
+                           fs.observed_max);
 }
 
 /// The SUM and COUNT estimators over a scanned frontier: the exact covered
 /// part plus one stratum per partial leaf. A leaf with no sample, or one the
 /// budget left unscanned, falls back to its contribution bounds.
-SumCountAccumulator FoldFrontier(const PartitionTree& tree,
-                                 const FrontierScan& fs, bool use_fpc) {
-  SumCountAccumulator acc(fs.covered_stats, use_fpc);
+SumCountAccumulator FoldFrontier(const FrontierScan& fs) {
+  const PartitionTree& tree = fs.synopsis->tree();
+  SumCountAccumulator acc(fs.covered_stats, fs.synopsis->options().use_fpc);
   for (const PartialScan& p : fs.partials) {
     if (HasScan(p)) {
       acc.AddSampled(p.stratum);
@@ -276,32 +214,30 @@ Estimate NoEvidence(const HardBounds& hard) {
 /// fused path and the resumable session so their answers are the same
 /// bits whenever their scan state is. The fused AVG is always the ratio
 /// estimator, whatever EstimatorOptions::avg_mode says.
-MultiAnswer MultiFromFrontier(const PartitionTree& tree,
-                              const FrontierScan& fs,
-                              const EstimatorOptions& opts) {
+MultiAnswer MultiFromFrontier(const FrontierScan& fs) {
   MultiAnswer out;
   out.fused = true;
   out.sum = fs.base;
   out.count = fs.base;
   out.avg = fs.base;
 
-  const HardBounds sum_hard = BoundsFor(tree, fs, AggregateType::kSum);
+  const HardBounds sum_hard = BoundsFor(fs, AggregateType::kSum);
   if (sum_hard.valid) {
     out.sum.hard_lb = sum_hard.lb;
     out.sum.hard_ub = sum_hard.ub;
   }
-  const HardBounds count_hard = BoundsFor(tree, fs, AggregateType::kCount);
+  const HardBounds count_hard = BoundsFor(fs, AggregateType::kCount);
   if (count_hard.valid) {
     out.count.hard_lb = count_hard.lb;
     out.count.hard_ub = count_hard.ub;
   }
-  const HardBounds avg_hard = BoundsFor(tree, fs, AggregateType::kAvg);
+  const HardBounds avg_hard = BoundsFor(fs, AggregateType::kAvg);
   if (avg_hard.valid) {
     out.avg.hard_lb = avg_hard.lb;
     out.avg.hard_ub = avg_hard.ub;
   }
 
-  const SumCountAccumulator acc = FoldFrontier(tree, fs, opts.use_fpc);
+  const SumCountAccumulator acc = FoldFrontier(fs);
   out.sum.estimate = acc.sum();
   out.count.estimate = acc.count();
   out.sum_count_cov = acc.sum_count_cov();
@@ -313,11 +249,9 @@ MultiAnswer MultiFromFrontier(const PartitionTree& tree,
 /// The per-aggregate assembly over a scanned frontier: the twin of
 /// MultiFromFrontier for one aggregate, with EstimatorOptions::avg_mode
 /// choosing the AVG estimator.
-QueryAnswer SingleFromFrontier(const PartitionTree& tree,
-                               const FrontierScan& fs, AggregateType agg,
-                               const EstimatorOptions& opts) {
+QueryAnswer SingleFromFrontier(const FrontierScan& fs, AggregateType agg) {
   QueryAnswer out = fs.base;
-  const HardBounds hard = BoundsFor(tree, fs, agg);
+  const HardBounds hard = BoundsFor(fs, agg);
   if (hard.valid) {
     out.hard_lb = hard.lb;
     out.hard_ub = hard.ub;
@@ -326,18 +260,19 @@ QueryAnswer SingleFromFrontier(const PartitionTree& tree,
   switch (agg) {
     case AggregateType::kSum:
     case AggregateType::kCount: {
-      const SumCountAccumulator acc = FoldFrontier(tree, fs, opts.use_fpc);
+      const SumCountAccumulator acc = FoldFrontier(fs);
       out.estimate = agg == AggregateType::kSum ? acc.sum() : acc.count();
       break;
     }
 
     case AggregateType::kAvg: {
+      const EstimatorOptions& opts = fs.synopsis->options();
       if (opts.avg_mode == AvgMode::kRatio) {
         // The ratio of the SUM and COUNT estimators over this frontier with
         // their exact covariance — so a sample-less partial leaf falls back
         // to the same bounds midpoint the SUM/COUNT paths use instead of
         // silently dropping known population mass.
-        const SumCountAccumulator acc = FoldFrontier(tree, fs, opts.use_fpc);
+        const SumCountAccumulator acc = FoldFrontier(fs);
         out.estimate = RatioEstimate(acc.sum(), acc.count(),
                                      acc.sum_count_cov(), NoEvidence(hard));
       } else {
@@ -376,40 +311,35 @@ QueryAnswer SingleFromFrontier(const PartitionTree& tree,
   return out;
 }
 
-/// The tree-backed EstimationSession: a FrontierScan checkpointed in the
-/// budget walk's spend order. Each AdvanceTo is one more advance of that
-/// walk plus the MultiFromFrontier a one-shot answer runs, so it returns
-/// the bits a fresh start plus one advance at the same cumulative cap
-/// returns.
-class TreeSession final : public EstimationSession {
+/// The one EstimationSession: a budget walk in spend order, checkpointed
+/// between calls. Each AdvanceTo is one more advance of that walk plus the
+/// AnswerMulti a one-shot answer runs, so it returns the bits a fresh
+/// start plus one advance at the same cumulative cap returns.
+class WalkSession final : public EstimationSession {
  public:
-  TreeSession(const PartitionTree& tree,
-              const std::vector<StratifiedSample>& samples, WorkPlan plan,
-              const Rect& predicate, const EstimatorOptions& opts,
-              uint64_t seed)
-      : tree_(tree),
-        samples_(samples),
-        predicate_(predicate),
-        opts_(opts),
-        fs_(StartWalk(tree, samples, predicate, std::move(plan), opts,
-                      /*in_spend_order=*/true, seed)) {}
+  WalkSession(const Rect& predicate, const Synopsis* synopses, WorkPlan* plans,
+              size_t n, uint64_t seed)
+      : predicate_(predicate),
+        walk_(predicate_, synopses, plans, n, /*in_spend_order=*/true, seed) {}
+  // The walk points at `predicate_`, so the session stays where it is.
+  WalkSession(const WalkSession&) = delete;
+  WalkSession& operator=(const WalkSession&) = delete;
 
-  MultiAnswer AdvanceTo(uint64_t max_scan_units) override {
+  MultiAnswer AdvanceTo(uint64_t max_scan_units,
+                        std::optional<SteadyTime> soft_deadline) override {
     WorkBudget budget;
     budget.max_scan_units = max_scan_units;
-    AdvanceWalk(tree_, samples_, predicate_, opts_, budget, &fs_);
-    return MultiFromFrontier(tree_, fs_, opts_);
+    budget.soft_deadline = soft_deadline;
+    walk_.Advance(budget);
+    return walk_.AnswerMulti();
   }
 
-  uint64_t PlanCost() const override { return fs_.base.scan_units_planned; }
-  uint64_t UnitsScanned() const override { return fs_.used; }
+  uint64_t PlanCost() const override { return walk_.PlanCost(); }
+  uint64_t UnitsScanned() const override { return walk_.UnitsScanned(); }
 
  private:
-  const PartitionTree& tree_;
-  const std::vector<StratifiedSample>& samples_;
-  const Rect predicate_;
-  const EstimatorOptions opts_;
-  FrontierScan fs_;
+  const Rect predicate_;  // the walk scans against this copy
+  BudgetWalk walk_;
 };
 
 }  // namespace
@@ -491,6 +421,91 @@ Estimate PaperWeightsAvg(const AggregateStats& exact,
   return out;
 }
 
+BudgetWalk::BudgetWalk(const Rect& predicate, const Synopsis* synopses,
+                       WorkPlan* plans, size_t n, bool in_spend_order,
+                       uint64_t seed)
+    : predicate_(&predicate) {
+  size_t total = 0;
+  for (size_t s = 0; s < n; ++s) total += plans[s].units.size();
+  scans_.resize(n);
+  order_.reserve(total);
+  for (size_t s = 0; s < n; ++s) {
+    planned_ += plans[s].total_cost;
+    for (size_t u = 0; u < plans[s].units.size(); ++u) {
+      order_.push_back({static_cast<uint32_t>(s), static_cast<uint32_t>(u)});
+    }
+    StartScan(synopses[s], std::move(plans[s]), predicate, &scans_[s]);
+  }
+  // A seed-deterministic shuffle of every unit, shard-major, so truncation
+  // does not systematically favor tree-order leaves or low shards; it
+  // depends only on the unit count and the seed.
+  if (in_spend_order) {
+    Rng rng(seed);
+    rng.Shuffle(&order_);
+  }
+  const auto free = [this](SpendUnit next) {
+    return scans_[next.scan].units[next.unit].cost == 0;
+  };
+  order_.erase(std::remove_if(order_.begin(), order_.end(), free),
+               order_.end());
+}
+
+BudgetWalk::BudgetWalk(BudgetWalk&& other) noexcept = default;
+BudgetWalk::~BudgetWalk() = default;
+
+BudgetWalk BudgetWalk::Once(const Rect& predicate, const Synopsis* synopses,
+                            WorkPlan* plans, size_t n,
+                            const AnswerOptions& options) {
+  BudgetWalk walk(predicate, synopses, plans, n, !options.budget.Unlimited(),
+                  options.seed);
+  walk.Advance(options.budget);
+  return walk;
+}
+
+std::unique_ptr<EstimationSession> BudgetWalk::Resumable(
+    const Rect& predicate, const Synopsis* synopses, WorkPlan* plans,
+    size_t n, uint64_t seed) {
+  return std::make_unique<WalkSession>(predicate, synopses, plans, n, seed);
+}
+
+void BudgetWalk::Advance(const WorkBudget& budget) {
+  const uint64_t cap =
+      budget.max_scan_units.value_or(std::numeric_limits<uint64_t>::max());
+  for (; cursor_ < order_.size(); ++cursor_) {
+    const SpendUnit next = order_[cursor_];
+    FrontierScan& fs = scans_[next.scan];
+    const uint64_t cost = fs.units[next.unit].cost;
+    if (used_ + cost > cap ||
+        (budget.soft_deadline.has_value() &&
+         std::chrono::steady_clock::now() > *budget.soft_deadline)) {
+      break;
+    }
+    used_ += cost;
+    fs.used += cost;
+    ScanUnit(*fs.synopsis, *predicate_, &fs.partials[next.unit]);
+  }
+  for (FrontierScan& fs : scans_) RefreshDiagnostics(&fs);
+}
+
+QueryAnswer BudgetWalk::Answer(AggregateType agg) const {
+  if (scans_.size() == 1) return SingleFromFrontier(scans_[0], agg);
+  if (agg == AggregateType::kAvg) return AnswerMulti().avg;
+  std::vector<QueryAnswer> parts;
+  parts.reserve(scans_.size());
+  for (const FrontierScan& fs : scans_) {
+    parts.push_back(SingleFromFrontier(fs, agg));
+  }
+  return MergeShardAnswers(agg, parts);
+}
+
+MultiAnswer BudgetWalk::AnswerMulti() const {
+  if (scans_.size() == 1) return MultiFromFrontier(scans_[0]);
+  std::vector<MultiAnswer> parts;
+  parts.reserve(scans_.size());
+  for (const FrontierScan& fs : scans_) parts.push_back(MultiFromFrontier(fs));
+  return MergeShardMulti(parts);
+}
+
 WorkPlan Synopsis::PlanFor(const Rect& predicate) const {
   return PlanUnits(tree_, samples_, predicate, false);
 }
@@ -499,12 +514,9 @@ QueryAnswer Synopsis::AnswerImpl(const Query& query,
                                  const AnswerOptions& options) const {
   const bool use_rule =
       options_.zero_variance_rule && query.agg == AggregateType::kAvg;
-  return SingleFromFrontier(
-      tree_,
-      ExecutePlan(tree_, samples_, query.predicate,
-                  PlanUnits(tree_, samples_, query.predicate, use_rule),
-                  options_, options),
-      query.agg, options_);
+  WorkPlan plan = PlanUnits(tree_, samples_, query.predicate, use_rule);
+  return BudgetWalk::Once(query.predicate, this, &plan, 1, options)
+      .Answer(query.agg);
 }
 
 MultiAnswer Synopsis::AnswerMultiImpl(const Rect& predicate,
@@ -518,31 +530,20 @@ QueryAnswer Synopsis::AnswerOverPlan(WorkPlan plan, const Query& query,
   // path (callers route AVG through AnswerMultiOverPlan instead).
   PASS_DCHECK(query.agg != AggregateType::kAvg ||
               !options_.zero_variance_rule);
-  return SingleFromFrontier(
-      tree_,
-      ExecutePlan(tree_, samples_, query.predicate, std::move(plan),
-                  options_, options),
-      query.agg, options_);
+  return BudgetWalk::Once(query.predicate, this, &plan, 1, options)
+      .Answer(query.agg);
 }
 
 MultiAnswer Synopsis::AnswerMultiOverPlan(WorkPlan plan,
                                           const Rect& predicate,
                                           const AnswerOptions& options) const {
-  return MultiFromFrontier(tree_,
-                           ExecutePlan(tree_, samples_, predicate,
-                                       std::move(plan), options_, options),
-                           options_);
+  return BudgetWalk::Once(predicate, this, &plan, 1, options).AnswerMulti();
 }
 
 std::unique_ptr<EstimationSession> Synopsis::StartSessionImpl(
     const Rect& predicate, uint64_t seed) const {
-  return StartSessionOverPlan(PlanFor(predicate), predicate, seed);
-}
-
-std::unique_ptr<EstimationSession> Synopsis::StartSessionOverPlan(
-    WorkPlan plan, const Rect& predicate, uint64_t seed) const {
-  return std::make_unique<TreeSession>(tree_, samples_, std::move(plan),
-                                       predicate, options_, seed);
+  WorkPlan plan = PlanFor(predicate);
+  return BudgetWalk::Resumable(predicate, this, &plan, 1, seed);
 }
 
 }  // namespace pass

@@ -1,12 +1,17 @@
 #ifndef PASS_CORE_ESTIMATOR_H_
 #define PASS_CORE_ESTIMATOR_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
+#include "core/answer.h"
+#include "core/estimation_session.h"
 #include "core/partition_tree.h"
+#include "core/query.h"
 #include "core/stratified_sample.h"
+#include "core/work_budget.h"
 #include "stats/confidence.h"
 
 namespace pass {
@@ -28,7 +33,6 @@ class KernelCache;
 /// Estimator configuration shared by the Synopsis and the baselines that
 /// reuse stratified estimation.
 struct EstimatorOptions {
-  double lambda = kLambda99;  // CI multiplier; paper uses 2.576 (99%)
   AvgMode avg_mode = AvgMode::kRatio;
   bool zero_variance_rule = true;  // Section 3.4, AVG only
   bool use_fpc = true;             // finite population correction
@@ -52,20 +56,87 @@ struct WorkUnit {
 /// The plan half of the estimation pipeline: everything the MCF walk
 /// determines *before* any sample row is touched. Enumerates the partial
 /// leaves as costed scan units so a serving layer can price a query
-/// (total_cost), split a budget across shards proportionally, or decide to
-/// answer from bounds alone — all without paying for a scan.
+/// (total_cost) or decide to answer from bounds alone, all without paying
+/// for a scan.
 struct WorkPlan {
   PartitionTree::Frontier frontier;
   std::vector<WorkUnit> units;  // one per frontier.partial, same order
   uint64_t total_cost = 0;      // sum of unit costs
+};
 
-  /// Optional explicit spend-priority order: a permutation of indices into
-  /// `units`. Empty (the default, what Synopsis::PlanFor emits) means the
-  /// budget walk derives the order from AnswerOptions::seed. A sharded
-  /// fan-out fills it with the restriction of its global interleaved
-  /// order, so each shard admits exactly the units the global budget walk
-  /// chose.
-  std::vector<uint32_t> priority;
+class Synopsis;
+struct FrontierScan;
+
+/// The budget walk over one query's scan units: the stratified samples of
+/// its partially covered leaves (Section 3.3), on one synopsis or on every
+/// shard of a sharded one. Each synopsis executes its own plan; the walk
+/// puts the nonzero-cost units of all of them in one spend order (shard-
+/// major, then one seed-deterministic shuffle) and admits whole units
+/// while each fits the cumulative cap and the soft deadline has not
+/// passed, stopping at the first that does not. A unit is all-or-nothing
+/// (a partial scan of one leaf's sample would bias its stratum
+/// estimator), and stopping rather than skipping makes the admitted set
+/// at any cap a prefix of the admitted set at every larger one: a session
+/// is a checkpoint in that order, so resuming it matches a fresh walk bit
+/// for bit. Each synopsis's answer is assembled in its frontier order, so
+/// the budget decides which leaves are scanned, never the accumulation
+/// order; several synopses' answers merge with MergeShardAnswers and
+/// MergeShardMulti (core/answer_merge.h).
+class BudgetWalk {
+ public:
+  /// Starts a walk over `n` synopses, `synopses[i]` executing `plans[i]`,
+  /// its plan of `predicate` (moved from). Zero-cost units (empty samples)
+  /// are scanned here: they do no work, so every budget admits them.
+  /// Without `in_spend_order` the units stay in frontier order, for a walk
+  /// an unlimited budget advances: it admits them all, so their order
+  /// cannot matter. `predicate` must outlive the walk.
+  BudgetWalk(const Rect& predicate, const Synopsis* synopses, WorkPlan* plans,
+             size_t n, bool in_spend_order, uint64_t seed);
+  BudgetWalk(BudgetWalk&& other) noexcept;
+  ~BudgetWalk();
+
+  /// A one-shot answer's walk: in spend order unless `options.budget` is
+  /// unlimited, advanced once under it.
+  static BudgetWalk Once(const Rect& predicate, const Synopsis* synopses,
+                         WorkPlan* plans, size_t n,
+                         const AnswerOptions& options);
+
+  /// A resumable fused estimation over a walk in spend order: each
+  /// AdvanceTo is one Advance plus AnswerMulti. The synopses must outlive
+  /// the session.
+  static std::unique_ptr<EstimationSession> Resumable(
+      const Rect& predicate, const Synopsis* synopses, WorkPlan* plans,
+      size_t n, uint64_t seed);
+
+  /// Admits units in spend order from the checkpoint, up to a cumulative
+  /// `budget.max_scan_units`, and stops at the first unit reached after
+  /// `budget.soft_deadline`.
+  void Advance(const WorkBudget& budget);
+
+  /// The answer over the units admitted so far. One synopsis answers AVG
+  /// through its EstimatorOptions::avg_mode; several answer it as the
+  /// fused ratio of their merged SUM and COUNT.
+  QueryAnswer Answer(AggregateType agg) const;
+  /// The fused SUM/COUNT/AVG answer over the units admitted so far.
+  MultiAnswer AnswerMulti() const;
+
+  uint64_t PlanCost() const { return planned_; }
+  uint64_t UnitsScanned() const { return used_; }
+
+ private:
+  /// A unit's place in the spend order: its synopsis, then its index in
+  /// that synopsis's plan.
+  struct SpendUnit {
+    uint32_t scan;
+    uint32_t unit;
+  };
+
+  const Rect* predicate_;
+  std::vector<FrontierScan> scans_;  // one per synopsis
+  std::vector<SpendUnit> order_;     // nonzero-cost units, in spend order
+  size_t cursor_ = 0;                // next candidate in `order_`
+  uint64_t used_ = 0;                // scan units admitted so far
+  uint64_t planned_ = 0;             // total cost of every plan
 };
 
 /// One stratum's sampled evidence: its population `n_pop`, the size

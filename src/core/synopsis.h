@@ -33,15 +33,15 @@ class Synopsis final : public AqpSystem {
   std::string Name() const override { return name_; }
   SystemCosts Costs() const override;
 
-  // PlanFor, the AnswerOverPlan pair, the session starters and the
-  // protected answering hooks are defined in core/estimator.cc, next to
-  // the one budget walk they all run.
+  // PlanFor, the AnswerOverPlan pair and the protected answering hooks
+  // are defined in core/estimator.cc, next to the one budget walk
+  // (BudgetWalk) they all run.
 
   /// The rule-OFF WorkPlan of this predicate (the frontier every fused
   /// answer and every non-AVG aggregate uses): one MCF walk, no sample
   /// row touched, one costed scan unit per partial leaf. What a serving
-  /// layer uses to price queries, split budgets across shards, and then
-  /// execute without a second walk.
+  /// layer uses to price queries, and then to execute without a second
+  /// walk.
   WorkPlan PlanFor(const Rect& predicate) const;
 
   /// Price of this query's sampled work in scan units
@@ -49,24 +49,14 @@ class Synopsis final : public AqpSystem {
   uint64_t PlanScanCost(const Rect& predicate) const;
 
   /// Budgeted answering over a plan the caller already computed with
-  /// PlanFor for this predicate — skips the second MCF walk the budgeted
-  /// shard fan-out would otherwise pay. AnswerOverPlan is only valid for
-  /// aggregates that use the rule-OFF frontier (everything except AVG
-  /// under the zero-variance rule; route AVG through AnswerMultiOverPlan).
+  /// PlanFor for this predicate, without a second MCF walk.
+  /// AnswerOverPlan is only valid for aggregates that use the rule-OFF
+  /// frontier (everything except AVG under the zero-variance rule; route
+  /// AVG through AnswerMultiOverPlan).
   QueryAnswer AnswerOverPlan(WorkPlan plan, const Query& query,
                              const AnswerOptions& options) const;
   MultiAnswer AnswerMultiOverPlan(WorkPlan plan, const Rect& predicate,
                                   const AnswerOptions& options) const;
-
-  /// Opens a resumable fused estimation over a plan the caller computed
-  /// with PlanFor — possibly carrying an explicit priority order (the
-  /// sharded fan-out's global-order restriction). AdvanceTo(b) answers
-  /// are bit-identical to AnswerMultiOverPlan on the same plan with the
-  /// same seed and `budget.max_scan_units = b`: both run the one budget
-  /// walk in the same spend order and assemble in frontier order. The
-  /// synopsis must outlive the session.
-  std::unique_ptr<EstimationSession> StartSessionOverPlan(
-      WorkPlan plan, const Rect& predicate, uint64_t seed) const;
 
   // --- Introspection --------------------------------------------------------
   const PartitionTree& tree() const { return tree_; }

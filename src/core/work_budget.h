@@ -7,6 +7,9 @@
 
 namespace pass {
 
+/// A point on the monotonic clock, the clock soft deadlines are set on.
+using SteadyTime = std::chrono::steady_clock::time_point;
+
 /// How much work an anytime answer may spend. The unit of account is one
 /// *scan unit* = one sample row in a partially-overlapped leaf's stratified
 /// sample — the only per-query data access a synopsis performs, and hence
@@ -36,7 +39,7 @@ struct WorkBudget {
   /// the scanned set is a prefix of that order, as under a unit cap.
   /// Unlike max_scan_units this makes the answer timing-dependent (hence
   /// "soft"); budgets that must be reproducible use max_scan_units alone.
-  std::optional<std::chrono::steady_clock::time_point> soft_deadline;
+  std::optional<SteadyTime> soft_deadline;
 
   bool Unlimited() const {
     return !max_scan_units.has_value() && !soft_deadline.has_value();

@@ -304,11 +304,13 @@ void QueryScheduler::RunProgressive(const Task& task,
   // The refinement ladder: 0, step, 2*step, 4*step, ... Zero first — the
   // bounds-only answer is free and sometimes already tight enough; then
   // doubling keeps the total number of reassemblies logarithmic in the
-  // plan while each AdvanceTo scans only the delta units.
+  // plan while each AdvanceTo scans only the delta units. A step stops at
+  // the first unit it reaches after the deadline, so no step overruns it
+  // by more than one unit's scan.
   uint64_t cap = 0;
   uint32_t refinements = 0;
   while (true) {
-    const MultiAnswer multi = session->AdvanceTo(cap);
+    const MultiAnswer multi = session->AdvanceTo(cap, task.deadline);
     const QueryAnswer& answer = multi.*component;
     const bool tight =
         condition.target_ci_width > 0.0 &&

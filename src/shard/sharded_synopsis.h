@@ -20,11 +20,14 @@ namespace pass {
 /// ratio over the merged SUM and COUNT estimators, and MIN/MAX combine the
 /// shard extrema — hard bounds stay deterministic through the merge.
 ///
-/// With one shard this is exactly a plain PASS synopsis (answers are
-/// delegated unmerged, bit for bit). Shard members are answered in index
-/// order on the calling thread: one member's plan and estimate take a few
-/// microseconds, less than handing it to another thread costs, so the
-/// only concurrency is many callers each walking every shard.
+/// Every answer and session runs one budget walk (core/estimator.h) over
+/// all shards' scan units, so a budget buys the same units however the
+/// rows are sharded, and merges the per-shard answers. With one shard this
+/// is exactly a plain PASS synopsis (answers are delegated unmerged, bit
+/// for bit). Shards are planned and scanned in index order on the calling
+/// thread: one shard's plan and estimate take a few microseconds, less
+/// than handing it to another thread costs, so the only concurrency is
+/// many callers each walking every shard.
 class ShardedSynopsis final : public AqpSystem {
  public:
   ShardedSynopsis() = default;
@@ -36,7 +39,7 @@ class ShardedSynopsis final : public AqpSystem {
   size_t NumShards() const { return shards_.size(); }
   const Synopsis& shard(size_t i) const {
     PASS_DCHECK(i < shards_.size());
-    return *shards_[i];
+    return shards_[i];
   }
 
   /// Total rows across all shards.
@@ -54,65 +57,35 @@ class ShardedSynopsis final : public AqpSystem {
   /// registry installs the same one into every shard), so the first
   /// shard's view is the engine's.
   const KernelCache* ScanKernelCache() const override {
-    return shards_.empty() ? nullptr : shards_[0]->ScanKernelCache();
+    return shards_.empty() ? nullptr : shards_[0].ScanKernelCache();
   }
 
   /// Total plan cost of this predicate across all shards, in scan units.
   uint64_t PlanScanCost(const Rect& predicate) const;
 
-  /// Divides `budget` scan units across shards by interleaving every
-  /// shard's work units into one seed-shuffled global priority order and
-  /// prefix-admitting at the global cap — each shard's allocation is the
-  /// exact cost of its globally admitted units. The contract (checked by
-  /// the anytime tests): allocations never over-commit (their sum is at
-  /// most `budget`, and exactly the total plan cost once `budget` covers
-  /// it), and every per-shard allocation is monotone non-decreasing in
-  /// `budget` — the property that lets a sharded session resume into the
-  /// same global order a fresh larger-budget run would walk. (The old
-  /// largest-remainder apportionment conserved every unit but suffered
-  /// the Alabama paradox: a bigger house could shrink a shard's seats,
-  /// which breaks resume-equals-restart bit-identity.)
-  std::vector<uint64_t> SplitBudget(const Rect& predicate, uint64_t budget,
-                                    uint64_t seed = 0) const;
-
   void set_name(std::string name) { name_ = std::move(name); }
 
  protected:
   // AqpSystem hooks (reached through the public non-virtual entry points):
-  /// Anytime: a finite unit budget is split across shards with the global
-  /// interleaved order (SplitBudget above) before the per-shard budgeted
-  /// answers are merged; truncation flags OR through the merge. An
-  /// unlimited budget answers in full with no split overhead.
+  /// Anytime: one walk spends a finite budget across every shard's units
+  /// in one seeded order, then the shard answers merge, truncation flags
+  /// ORed. AVG is the `avg` component of the fused merge.
   QueryAnswer AnswerImpl(const Query& query,
                          const AnswerOptions& options) const override;
-  /// Anytime fused: exactly one synopsis evaluation per shard (one MCF
-  /// walk + one leaf-sample scan), merged with the exact per-shard
-  /// Cov(SUM, COUNT). The AVG path of Answer() is this merge's `avg`
-  /// component.
+  /// Anytime fused: one MCF walk and one leaf-sample scan per shard,
+  /// merged with the exact per-shard Cov(SUM, COUNT).
   MultiAnswer AnswerMultiImpl(const Rect& predicate,
                               const AnswerOptions& options) const override;
-  /// Resumable fused estimation across shards: one member session per
-  /// shard, advanced along the same global interleaved order the budgeted
-  /// fan-out admits from, merged with MergeShardMulti. K = 1 delegates to
-  /// the single shard's session unmerged.
+  /// Resumable fused estimation: one walk across the shards, checkpointed
+  /// between steps and merged with MergeShardMulti.
   std::unique_ptr<EstimationSession> StartSessionImpl(
       const Rect& predicate, uint64_t seed) const override;
 
  private:
-  /// Everything a budgeted fan-out needs, priced with ONE MCF walk per
-  /// shard: each shard's WorkPlan (handed back to the shard for
-  /// execution, so the walk is never repeated — and carrying its slice of
-  /// the global priority order) and its AnswerOptions — exact admitted
-  /// unit budget, pass-through soft deadline, decorrelated per-shard
-  /// seeds.
-  struct BudgetedFanOut {
-    std::vector<WorkPlan> plans;
-    std::vector<AnswerOptions> options;
-  };
-  BudgetedFanOut PrepareBudgetedFanOut(const Rect& predicate,
-                                       const AnswerOptions& options) const;
+  /// Every shard's rule-OFF plan of `predicate`, in shard order.
+  std::vector<WorkPlan> PlanShards(const Rect& predicate) const;
 
-  std::vector<std::unique_ptr<Synopsis>> shards_;
+  std::vector<Synopsis> shards_;
   std::string name_ = "Sharded-PASS";
 };
 

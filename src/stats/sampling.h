@@ -2,8 +2,6 @@
 #define PASS_STATS_SAMPLING_H_
 
 #include <cstddef>
-#include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "common/rng.h"
@@ -14,70 +12,6 @@ namespace pass {
 /// (O(k) expected time, no O(n) scratch). Result is sorted ascending.
 /// If k >= n, returns all indices 0..n-1.
 std::vector<size_t> SampleWithoutReplacement(size_t n, size_t k, Rng* rng);
-
-/// Classic reservoir sampling (Vitter's Algorithm R) maintaining a uniform
-/// sample of capacity k over a stream. PASS's dynamic-update path
-/// (Section 4.5) needs to know which element an insertion evicted, so
-/// Offer() reports the replaced element.
-template <typename T>
-class ReservoirSampler {
- public:
-  explicit ReservoirSampler(size_t capacity, uint64_t seed = 42)
-      : capacity_(capacity), rng_(seed) {}
-
-  /// Result of offering one stream element.
-  struct OfferResult {
-    bool accepted = false;          // element entered the reservoir
-    std::optional<T> evicted;       // element it replaced, if any
-  };
-
-  OfferResult Offer(const T& item) {
-    ++seen_;
-    OfferResult result;
-    if (reservoir_.size() < capacity_) {
-      reservoir_.push_back(item);
-      result.accepted = true;
-      return result;
-    }
-    if (capacity_ == 0) return result;
-    const uint64_t j = rng_.Below(seen_);
-    if (j < capacity_) {
-      result.accepted = true;
-      result.evicted = reservoir_[static_cast<size_t>(j)];
-      reservoir_[static_cast<size_t>(j)] = item;
-    }
-    return result;
-  }
-
-  /// Removes one occurrence of `item` from the reservoir (for deletions).
-  /// Returns true if found. The caller is responsible for adjusting the
-  /// stream count via DecrementSeen() when the underlying population
-  /// shrinks.
-  bool Remove(const T& item) {
-    for (size_t i = 0; i < reservoir_.size(); ++i) {
-      if (reservoir_[i] == item) {
-        reservoir_[i] = reservoir_.back();
-        reservoir_.pop_back();
-        return true;
-      }
-    }
-    return false;
-  }
-
-  void DecrementSeen() {
-    if (seen_ > 0) --seen_;
-  }
-
-  const std::vector<T>& items() const { return reservoir_; }
-  size_t capacity() const { return capacity_; }
-  uint64_t seen() const { return seen_; }
-
- private:
-  size_t capacity_;
-  uint64_t seen_ = 0;
-  std::vector<T> reservoir_;
-  Rng rng_;
-};
 
 }  // namespace pass
 

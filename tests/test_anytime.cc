@@ -266,7 +266,7 @@ TEST(Anytime, FullBudgetIntervalIsNoWiderThanAQuarterBudgetInTheMedian) {
 }
 
 // ---------------------------------------------------------------------------
-// Shard budget split: no over-commit, monotone allocations, truncation
+// One walk across shards: no over-commit, monotone spend, truncation
 // ---------------------------------------------------------------------------
 
 ShardedSynopsis MustBuildSharded(const Dataset& data, size_t k,
@@ -281,41 +281,36 @@ ShardedSynopsis MustBuildSharded(const Dataset& data, size_t k,
   return std::move(built).value();
 }
 
-TEST(Anytime, ShardBudgetSplitNeverOverCommitsAndIsMonotone) {
+// One budget walk spends a cap across every shard's units: whole-unit
+// admission never over-commits, a cap that covers the plan admits every
+// unit, and a larger cap never scans less.
+TEST(Anytime, ShardBudgetNeverOverCommitsAndIsMonotone) {
   const Dataset data = MakeIntelLike(15000, 321);
   for (const size_t k : {size_t{2}, size_t{4}}) {
     const ShardedSynopsis sharded = MustBuildSharded(data, k, 91);
     for (const Rect& predicate : TestPredicates(data)) {
       const uint64_t plan = sharded.PlanScanCost(predicate);
       ASSERT_GT(plan, 0u) << "K=" << k;
-      // Whole-unit admission never over-commits, and once the budget
-      // covers the plan every unit is admitted.
-      std::vector<uint64_t> prev(k, 0);
+      uint64_t prev = 0;
       for (const uint64_t budget :
            {uint64_t{0}, uint64_t{1}, plan / 3, plan / 2, plan,
             plan + 13}) {
-        const std::vector<uint64_t> alloc =
-            sharded.SplitBudget(predicate, budget);
-        ASSERT_EQ(alloc.size(), k);
-        uint64_t total = 0;
-        for (const uint64_t units : alloc) total += units;
-        EXPECT_LE(total, budget) << "K=" << k << " budget=" << budget;
+        AnswerOptions options;
+        options.budget.max_scan_units = budget;
+        const MultiAnswer m = sharded.AnswerMulti(predicate, options);
+        const uint64_t spent = m.sum.sample_rows_scanned;
+        EXPECT_LE(spent, budget) << "K=" << k << " budget=" << budget;
+        EXPECT_EQ(m.sum.scan_units_planned, plan);
+        if (budget == 0) {
+          EXPECT_EQ(spent, 0u) << "K=" << k;
+        }
         if (budget >= plan) {
-          EXPECT_EQ(total, plan) << "K=" << k << " budget=" << budget;
+          EXPECT_EQ(spent, plan) << "K=" << k << " budget=" << budget;
+          EXPECT_FALSE(m.sum.truncated) << "K=" << k;
         }
-        // Componentwise monotone in the budget: growing the cap never
-        // takes admitted units away from any shard (the property a
-        // resumable sharded session leans on). The budget ladder above
-        // is non-decreasing, so `prev` is always the smaller cap.
-        for (size_t i = 0; i < k; ++i) {
-          EXPECT_GE(alloc[i], prev[i])
-              << "K=" << k << " budget=" << budget << " shard=" << i;
-        }
-        prev = alloc;
-      }
-      // Zero budget admits nothing.
-      for (const uint64_t units : sharded.SplitBudget(predicate, 0)) {
-        EXPECT_EQ(units, 0u);
+        // The budget ladder above is non-decreasing.
+        EXPECT_GE(spent, prev) << "K=" << k << " budget=" << budget;
+        prev = spent;
       }
     }
   }
@@ -338,8 +333,7 @@ TEST(Anytime, TruncationPropagatesThroughShardMerge) {
     EXPECT_LE(m.sum.sample_rows_scanned, plan / 4);
     EXPECT_EQ(m.sum.scan_units_planned, plan);
 
-    // Determinism survives the split (and the parallel-executor-free
-    // sequential fan-out used here).
+    // Determinism survives the one walk across shards.
     ExpectMultiBitIdentical(m, sharded.AnswerMulti(predicate, options));
 
     // The budgeted scalar path agrees with its fused counterpart on AVG

@@ -204,8 +204,10 @@ TEST(AqpPlusPlus, HardBoundsContainTruth) {
   }
 }
 
-// A zero-row global sample leaves the gap stratum without evidence. Its
-// covariance is then 0/0, which must not reach the AVG variance as a NaN.
+// A zero-row global sample gives the gap no evidence, so the partial
+// leaves fall back to their contribution bounds: the answer stays finite
+// (no 0/0 covariance reaches the AVG variance), inside its hard bounds,
+// and reports the uncertainty of the leaves it could not estimate.
 TEST(AqpPlusPlus, EmptySampleKeepsAvgVarianceFinite) {
   const Dataset data = MakeUniform(2000);
   AqpPlusPlusOptions options;
@@ -219,6 +221,15 @@ TEST(AqpPlusPlus, EmptySampleKeepsAvgVarianceFinite) {
   ASSERT_GT(answer.partial_leaves, 0u);
   EXPECT_TRUE(std::isfinite(answer.estimate.value));
   EXPECT_TRUE(std::isfinite(answer.estimate.variance));
+  EXPECT_GT(answer.estimate.variance, 0.0);
+  for (const AggregateType agg : {AggregateType::kSum, AggregateType::kCount}) {
+    const QueryAnswer a = aqp.Answer(RangeQueryOnDim(agg, 1, 0, 0.1, 0.9));
+    EXPECT_FALSE(a.exact) << AggregateName(agg);
+    EXPECT_GT(a.estimate.variance, 0.0) << AggregateName(agg);
+    ASSERT_TRUE(a.hard_lb.has_value() && a.hard_ub.has_value());
+    EXPECT_GE(a.estimate.value, *a.hard_lb) << AggregateName(agg);
+    EXPECT_LE(a.estimate.value, *a.hard_ub) << AggregateName(agg);
+  }
 }
 
 TEST(KdUs, MultiDimAnswersReasonable) {

@@ -1,7 +1,7 @@
 /// The resumable-estimation contract: an EstimationSession advanced to a
 /// cumulative budget b is bit-identical to a fresh budgeted AnswerMulti at
 /// max_scan_units = b with the same seed — for the plain synopsis, the
-/// sharded fan-out (K = 2, 4) and the routed ensemble — and its
+/// sharded synopsis (K = 2, 4) and the routed ensemble — and its
 /// PlanCost/UnitsScanned accounting matches the plan. Systems without an
 /// anytime path return no session.
 
@@ -198,6 +198,36 @@ TEST(EstimationSession, FarSoftDeadlineAnswersLikeTheUnlimitedBudget) {
         ExpectAnswersBitIdentical(system->Answer(q, options),
                                   system->Answer(q));
       }
+    }
+  }
+}
+
+// A step whose soft deadline has already passed stops at its first unit:
+// it scans nothing and answers truncated. The checkpoint does not move,
+// so the next deadline-free step is the fresh budgeted answer at its cap.
+TEST(EstimationSession, PassedDeadlineStopsTheStepAtItsFirstUnit) {
+  const Dataset data = MakeIntelLike(12000, 517);
+  for (const size_t k : {size_t{1}, size_t{4}}) {
+    const auto system = MustCreate(k == 1 ? "pass" : "sharded_pass", data, k);
+    for (const Rect& predicate : TestPredicates(data)) {
+      const uint64_t seed = 31;
+      const auto session = system->StartSession(predicate, seed);
+      ASSERT_NE(session, nullptr);
+      const uint64_t plan = session->PlanCost();
+      ASSERT_GT(plan, 0u);
+      const MultiAnswer cut = session->AdvanceTo(
+          plan, std::chrono::steady_clock::now() - std::chrono::seconds(1));
+      EXPECT_EQ(session->UnitsScanned(), 0u) << "K=" << k;
+      EXPECT_EQ(cut.sum.sample_rows_scanned, 0u) << "K=" << k;
+      EXPECT_TRUE(cut.sum.truncated) << "K=" << k;
+      EXPECT_TRUE(cut.avg.truncated) << "K=" << k;
+
+      AnswerOptions options;
+      options.budget.max_scan_units = plan;
+      options.seed = seed;
+      ExpectMultiBitIdentical(session->AdvanceTo(plan),
+                              system->AnswerMulti(predicate, options));
+      EXPECT_TRUE(session->Exhausted()) << "K=" << k;
     }
   }
 }

@@ -52,62 +52,6 @@ TEST(SampleWithoutReplacement, ApproximatelyUniformInclusion) {
   }
 }
 
-TEST(ReservoirSampler, FillsToCapacity) {
-  ReservoirSampler<int> r(5, 1);
-  for (int i = 0; i < 5; ++i) {
-    const auto result = r.Offer(i);
-    EXPECT_TRUE(result.accepted);
-    EXPECT_FALSE(result.evicted.has_value());
-  }
-  EXPECT_EQ(r.items().size(), 5u);
-}
-
-TEST(ReservoirSampler, ReportsEvictions) {
-  ReservoirSampler<int> r(2, 2);
-  r.Offer(0);
-  r.Offer(1);
-  int evictions = 0;
-  for (int i = 2; i < 200; ++i) {
-    const auto result = r.Offer(i);
-    if (result.accepted) {
-      EXPECT_TRUE(result.evicted.has_value());
-      ++evictions;
-    }
-  }
-  EXPECT_GT(evictions, 0);
-  EXPECT_EQ(r.items().size(), 2u);
-}
-
-TEST(ReservoirSampler, UniformOverStream) {
-  // Probability any given element ends in the reservoir should be k/n.
-  const size_t k = 10;
-  const size_t n = 100;
-  std::vector<int> hits(n, 0);
-  const int trials = 10000;
-  for (int t = 0; t < trials; ++t) {
-    ReservoirSampler<int> r(k, static_cast<uint64_t>(t) + 17);
-    for (size_t i = 0; i < n; ++i) r.Offer(static_cast<int>(i));
-    for (const int item : r.items()) ++hits[static_cast<size_t>(item)];
-  }
-  for (const int h : hits) {
-    EXPECT_NEAR(static_cast<double>(h) / trials,
-                static_cast<double>(k) / static_cast<double>(n), 0.03);
-  }
-}
-
-TEST(ReservoirSampler, RemoveDropsOneOccurrence) {
-  ReservoirSampler<int> r(4, 3);
-  for (int i = 0; i < 4; ++i) r.Offer(i);
-  EXPECT_TRUE(r.Remove(2));
-  EXPECT_EQ(r.items().size(), 3u);
-  EXPECT_FALSE(r.Remove(2));
-}
-
-TEST(ReservoirSampler, ZeroCapacityNeverAccepts) {
-  ReservoirSampler<int> r(0, 4);
-  for (int i = 0; i < 20; ++i) EXPECT_FALSE(r.Offer(i).accepted);
-}
-
 TEST(Quantile, MedianOfOddAndEven) {
   EXPECT_DOUBLE_EQ(Median({3.0, 1.0, 2.0}), 2.0);
   EXPECT_DOUBLE_EQ(Median({4.0, 1.0, 2.0, 3.0}), 2.5);
