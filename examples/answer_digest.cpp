@@ -3,7 +3,8 @@
 /// sharded (K in {2, 4}), resumed-session, one-shot budgeted (every
 /// aggregate, K in {1, 2, 4}) and cache-hit paths, on a fixed
 /// dataset and workload, and of the default (ADP) builds: the greedy kd
-/// expansion on 3-D data and the 1-D DP, unsharded and at K=4. Every
+/// expansion on 3-D data and the 1-D DP, unsharded and at K=4, and of
+/// 100k-row 3-D kd builds (greedy, breadth-first and at K=2). Every
 /// floating-point field is shown as its raw hex bit pattern, so two builds
 /// can be compared for exact bit-identity by diffing stdout:
 ///
@@ -249,6 +250,41 @@ int main() {
     for (size_t i = 0; i < queries1.size(); ++i) {
       std::snprintf(label, sizeof(label), "adp_1d_k%zu q%zu", k, i);
       PrintAnswer(label, engine->Answer(queries1[i]));
+    }
+  }
+
+  // Large kd builds. Every kd build above splits at most 4000 rows; these
+  // take their medians over ranges of tens of thousands. 100k 3-D rows, 64
+  // leaves, a 2% sample: the greedy (ADP) and breadth-first expansions
+  // unsharded, and the default build at K=2.
+  {
+    const Dataset big = MakeTaxiLike(100'000, /*seed=*/9).WithPredDims(3);
+    WorkloadOptions wl3 = wl;
+    wl3.template_dims = {0, 1, 2};
+    const std::vector<Query> big_queries = RandomRangeQueries(big, wl3);
+    struct BigBuild {
+      const char* tag;
+      const char* engine;
+      size_t shards;
+      PartitionStrategy strategy;
+    };
+    const BigBuild builds[] = {
+        {"big_kd3_adp", "pass", 1, PartitionStrategy::kAdp},
+        {"big_kd3_bf", "pass", 1, PartitionStrategy::kKdBreadthFirst},
+        {"big_kd3_k2", "sharded_pass", 2, PartitionStrategy::kAdp}};
+    for (const BigBuild& build : builds) {
+      EngineConfig config = DigestConfig(build.shards, /*cache=*/false);
+      config.strategy = build.strategy;
+      config.partitions = 64;
+      const auto engine = MakeEngine(big, build.engine, config);
+      for (const AggregateType agg :
+           {AggregateType::kSum, AggregateType::kCount, AggregateType::kAvg}) {
+        for (size_t i = 0; i < big_queries.size(); ++i) {
+          std::snprintf(label, sizeof(label), "%s%s q%zu", build.tag,
+                        AggTag(agg), i);
+          PrintAnswer(label, engine->Answer(WithAgg(big_queries[i], agg)));
+        }
+      }
     }
   }
   return 0;
