@@ -102,8 +102,10 @@ class PartitionTree {
   Coverage Classify(int32_t id, const Rect& query) const;
 
   /// Returns the leaf whose *condition* contains the point, descending from
-  /// the root (used to route inserted rows). Returns -1 if no child claims
-  /// the point (can only happen for points outside the root condition).
+  /// the root (used to route inserted rows). Returns -1 if the point lies
+  /// outside the root's condition or if no child of a node on the way down
+  /// claims it: a kd split omits empty orthants, so a kd node's children
+  /// need not cover its condition.
   int32_t RouteToLeaf(const std::vector<double>& point) const;
 
   /// Structural validation for tests: parent/child containment (conditions

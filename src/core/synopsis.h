@@ -94,9 +94,12 @@ class Synopsis final : public AqpSystem {
 
   // --- Dynamic updates (Section 4.5) ---------------------------------------
 
-  /// Inserts a tuple. Returns false if no leaf condition contains the point
-  /// (cannot happen when the tree was built with edge conditions widened to
-  /// +-inf, which all builders in this repo do).
+  /// Inserts a tuple. Returns false, changing nothing, when the row has
+  /// the wrong arity or no leaf condition contains the point. The 1-D
+  /// builders' leaves tile the whole line, but a kd split omits the
+  /// orthants no row fell in, so a kd tree's leaves need not cover its
+  /// root: over pickup and dropoff day, a row dropped off before it was
+  /// picked up can land in no leaf and is refused.
   bool Insert(const std::vector<double>& preds, double agg);
 
   /// Deletes one tuple with exactly these values, if the synopsis can route

@@ -78,6 +78,18 @@ Result<ShardedSynopsis> BuildShardedSynopsis(
   Result<std::vector<Dataset>> shards = planner.Split(data);
   if (!shards.ok()) return shards.status();
 
+  // Two or more shards answer AVG as the ratio over the merged SUM and
+  // COUNT; the paper-weights estimator has no merge.
+  const size_t nonempty = static_cast<size_t>(std::count_if(
+      shards->begin(), shards->end(),
+      [](const Dataset& shard) { return shard.NumRows() != 0; }));
+  if (nonempty >= 2 &&
+      options.base.estimator.avg_mode == AvgMode::kPaperWeights) {
+    return Status::InvalidArgument(
+        "AvgMode::kPaperWeights needs a single shard: a sharded AVG is the "
+        "ratio over the merged SUM and COUNT");
+  }
+
   const double n = static_cast<double>(data.NumRows());
   ShardedSynopsis sharded;
   for (size_t s = 0; s < shards->size(); ++s) {

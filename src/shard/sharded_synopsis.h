@@ -24,7 +24,9 @@ namespace pass {
 /// all shards' scan units, so a budget buys the same units however the
 /// rows are sharded, and merges the per-shard answers. With one shard this
 /// is exactly a plain PASS synopsis (answers are delegated unmerged, bit
-/// for bit). Shards are planned and scanned in index order on the calling
+/// for bit). With two or more, AVG is always the fused ratio over the
+/// merged SUM and COUNT: EstimatorOptions::zero_variance_rule does not
+/// apply, and BuildShardedSynopsis rejects AvgMode::kPaperWeights. Shards are planned and scanned in index order on the calling
 /// thread: one shard's plan and estimate take a few microseconds, less
 /// than handing it to another thread costs, so the only concurrency is
 /// many callers each walking every shard.
@@ -69,7 +71,8 @@ class ShardedSynopsis final : public AqpSystem {
   // AqpSystem hooks (reached through the public non-virtual entry points):
   /// Anytime: one walk spends a finite budget across every shard's units
   /// in one seeded order, then the shard answers merge, truncation flags
-  /// ORed. AVG is the `avg` component of the fused merge.
+  /// ORed. AVG is the `avg` component of the fused merge, over the plan
+  /// without the zero-variance rule.
   QueryAnswer AnswerImpl(const Query& query,
                          const AnswerOptions& options) const override;
   /// Anytime fused: one MCF walk and one leaf-sample scan per shard,
@@ -100,7 +103,10 @@ struct ShardedBuildOptions {
 
 /// Plans the shards, builds one PASS synopsis per nonempty shard (an empty
 /// shard holds no rows, hence contributes exactly nothing to any merged
-/// answer, and is dropped), and assembles the ShardedSynopsis.
+/// answer, and is dropped), and assembles the ShardedSynopsis. Returns
+/// InvalidArgument for `base.estimator.avg_mode == AvgMode::kPaperWeights`
+/// when two or more shards are nonempty, since their AVG merge is the
+/// ratio estimator.
 Result<ShardedSynopsis> BuildShardedSynopsis(
     const Dataset& data, const ShardedBuildOptions& options);
 

@@ -1,7 +1,11 @@
 #include "geom/kd_split.h"
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -200,6 +204,108 @@ TEST(MultiSplit, MedianIsTheValueOfRankHalfN) {
     EXPECT_EQ(rows.pred[0][0], 1.0);  // low side in parent order: 1, 5, 3
     EXPECT_EQ(rows.pred[0][1], 5.0);
     EXPECT_EQ(rows.pred[0][2], 3.0);
+  }
+}
+
+uint64_t Bits(double v) {
+  uint64_t b = 0;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+/// The split threshold `MultiSplit` picks for column `col` over
+/// [begin, end), read as the low child's upper edge.
+double SplitMedian(const std::vector<double>& col, size_t begin, size_t end) {
+  KdRowStore rows;
+  rows.pred = {col};
+  rows.agg.assign(col.size(), 1.0);
+  rows.ids.resize(col.size());
+  std::iota(rows.ids.begin(), rows.ids.end(), 0u);
+  const auto children = MultiSplit({0}, begin, end, Rect::All(1), &rows);
+  return children.front().condition.dim(0).hi;
+}
+
+/// What std::nth_element finds at rank (end - begin) / 2 of a copy.
+double CopyMedian(const std::vector<double>& col, size_t begin, size_t end) {
+  std::vector<double> copy(col.begin() + static_cast<long>(begin),
+                           col.begin() + static_cast<long>(end));
+  const auto mid = copy.begin() + static_cast<long>(copy.size() / 2);
+  std::nth_element(copy.begin(), mid, copy.end());
+  return *mid;
+}
+
+/// Columns of kN values, each with the trait its name says.
+constexpr size_t kN = 60'000;
+
+std::vector<std::pair<const char*, std::vector<double>>> MedianColumns() {
+  Rng rng(31);
+  std::vector<std::pair<const char*, std::vector<double>>> cols;
+  auto add = [&cols](const char* name) -> std::vector<double>& {
+    cols.emplace_back(name, std::vector<double>(kN));
+    return cols.back().second;
+  };
+  std::vector<double>& sorted = add("sorted");
+  for (size_t i = 0; i < kN; ++i) sorted[i] = 0.5 * static_cast<double>(i);
+  std::vector<double>& reversed = add("reverse-sorted");
+  for (size_t i = 0; i < kN; ++i) reversed[i] = static_cast<double>(kN - i);
+  std::vector<double>& organ = add("organ-pipe");
+  for (size_t i = 0; i < kN; ++i) {
+    organ[i] = static_cast<double>(std::min(i, kN - 1 - i)) + 0.25;
+  }
+  add("all-equal").assign(kN, 7.5);
+  for (double& v : add("two-valued")) v = rng.Bernoulli(0.5) ? 3.0 : -1.0;
+  // Like pickup_date: 31 day values.
+  for (double& v : add("31-valued")) v = static_cast<double>(rng.Below(31));
+  for (double& v : add("zipf-tied")) {
+    v = static_cast<double>(rng.Zipf(40, 1.1));
+  }
+  // A huge value at every position the selection samples, ordinary values
+  // elsewhere: the sample sees only the huge values, so its pivots miss
+  // the median, which forces the full copy. The stride mirrors the
+  // selection's sample of about n^(2/3) values over a range; the column
+  // is shifted to the range's start, and every range length below gets
+  // its own stride, so both ranges get one such column.
+  for (const size_t n : {size_t{9'001}, size_t{50'001}}) {
+    std::vector<double>& periodic =
+        add(n < 10'000 ? "periodic (short)" : "periodic (long)");
+    const double nd = static_cast<double>(n);
+    const size_t stride = n / static_cast<size_t>(std::cbrt(nd * nd));
+    for (size_t i = 0; i < kN; ++i) {
+      // The offset from the ranges' start at 123, modulo the stride.
+      const size_t offset = (i % stride + stride - 123 % stride) % stride;
+      periodic[i] = offset == stride / 2 ? 1e12 + static_cast<double>(i)
+                                         : static_cast<double>(i % 977);
+    }
+  }
+  std::vector<double>& nan = add("one NaN");
+  for (double& v : nan) v = rng.UniformDouble(-5.0, 5.0);
+  nan[6'000] = std::numeric_limits<double>::quiet_NaN();  // in every range
+  // Half the range below zero, then zeros of both signs straddling rank
+  // n / 2, so the median is a zero whose sign depends on the arrangement.
+  std::vector<double>& zeros = add("-0.0 and +0.0 at the median");
+  for (double& v : zeros) {
+    const double u = rng.UniformDouble(1.0, 2.0);
+    const uint64_t pick = rng.Below(4);
+    v = pick == 0 ? -u : (pick == 1 ? u : (pick == 2 ? -0.0 : 0.0));
+  }
+  return cols;
+}
+
+// MultiSplit's threshold has the bits std::nth_element finds on a copy of
+// the range, for ranges below and well above the length at which the
+// selection switches to sampled pivots, on sorted, tied, adversarial,
+// NaN-holding and signed-zero columns.
+TEST(MultiSplit, MedianBitsEqualNthElementOnACopy) {
+  for (const auto& [name, col] : MedianColumns()) {
+    for (const auto& [begin, end] :
+         {std::pair<size_t, size_t>{123, 123 + 9'001},
+          std::pair<size_t, size_t>{123, 123 + 50'001},
+          std::pair<size_t, size_t>{4'000, 4'000 + 2'500},
+          std::pair<size_t, size_t>{1, kN}}) {
+      EXPECT_EQ(Bits(SplitMedian(col, begin, end)),
+                Bits(CopyMedian(col, begin, end)))
+          << name << " over [" << begin << ", " << end << ")";
+    }
   }
 }
 

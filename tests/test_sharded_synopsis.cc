@@ -7,6 +7,7 @@
 #include "core/exact.h"
 #include "data/generators.h"
 #include "data/workload.h"
+#include "engine/engine_registry.h"
 #include "tests/test_util.h"
 
 namespace pass {
@@ -65,6 +66,62 @@ TEST(ShardedSynopsis, SingleShardIsBitIdenticalToPlainPass) {
   for (const Query& q : MixedWorkload(data, 20, 93)) {
     ExpectAnswersBitIdentical(sharded.Answer(q), plain->Answer(q));
   }
+}
+
+EngineConfig PaperWeightsConfig(size_t num_shards) {
+  EngineConfig config;
+  config.partitions = 32;
+  config.sample_rate = 0.02;
+  config.strategy = PartitionStrategy::kEqualDepth;
+  config.num_shards = num_shards;
+  config.seed = 97;
+  config.estimator.avg_mode = AvgMode::kPaperWeights;
+  return config;
+}
+
+// Two or more shards answer AVG as the ratio over the merged SUM and
+// COUNT, so a paper-weights build is refused instead of silently answering
+// with the ratio estimator.
+TEST(ShardedSynopsis, PaperWeightsAvgIsRejectedAcrossShards) {
+  const Dataset data = MakeIntelLike(8000, 95);
+  for (const size_t k : {2u, 4u}) {
+    const auto engine = EngineRegistry::Global().Create(
+        "sharded_pass", data, PaperWeightsConfig(k));
+    ASSERT_FALSE(engine.ok()) << "K=" << k;
+    EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument);
+  }
+  EngineConfig ratio = PaperWeightsConfig(2);
+  ratio.estimator.avg_mode = AvgMode::kRatio;
+  EXPECT_TRUE(EngineRegistry::Global().Create("sharded_pass", data, ratio).ok());
+}
+
+// One shard keeps the mode: its paper-weights AVG answers are the plain
+// pass engine's, bit for bit.
+TEST(ShardedSynopsis, SingleShardPaperWeightsAvgIsBitIdenticalToPass) {
+  const Dataset data = MakeIntelLike(8000, 96);
+  const auto sharded = EngineRegistry::Global().Create(
+      "sharded_pass", data, PaperWeightsConfig(1));
+  const auto plain =
+      EngineRegistry::Global().Create("pass", data, PaperWeightsConfig(1));
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  EngineConfig ratio_config = PaperWeightsConfig(1);
+  ratio_config.estimator.avg_mode = AvgMode::kRatio;
+  const auto ratio =
+      EngineRegistry::Global().Create("pass", data, ratio_config);
+  ASSERT_TRUE(ratio.ok()) << ratio.status().ToString();
+  WorkloadOptions wl;
+  wl.agg = AggregateType::kAvg;
+  wl.count = 40;
+  wl.seed = 98;
+  size_t differ_from_ratio = 0;
+  for (const Query& q : RandomRangeQueries(data, wl)) {
+    const QueryAnswer answer = (*sharded)->Answer(q);
+    ExpectAnswersBitIdentical(answer, (*plain)->Answer(q));
+    differ_from_ratio += answer.estimate.value !=
+                         (*ratio)->Answer(q).estimate.value;
+  }
+  EXPECT_GT(differ_from_ratio, 0u) << "the mode must be in effect";
 }
 
 // COUNT/SUM merging is pure addition: for a query every shard answers

@@ -260,6 +260,45 @@ TEST(SynopsisUpdates, RowsOfTheWrongArityAreRejected) {
   EXPECT_TRUE(s.tree().ValidateInvariants().ok());
 }
 
+// A kd split drops the orthants no row fell in, so a kd tree's leaves need
+// not cover its root. Over pickup and dropoff day, no trip is dropped off
+// before it was picked up: a row with pickup day 30 and dropoff day 0 lies
+// in no leaf, and Insert refuses it without touching the synopsis.
+TEST(SynopsisUpdates, InsertIntoAnEmptyKdOrthantIsRefusedAndChangesNothing) {
+  const Dataset data = MakeTaxiLike(200'000);
+  BuildOptions options;
+  options.partition_dims = {1, 3};  // pickup_date, dropoff_date
+  Synopsis s = MustBuild(data, options);
+  const Synopsis before = s;
+  EXPECT_FALSE(s.Insert({40000.0, 30.0, 5.0, 0.0, 1000.0}, 2.0));
+
+  ASSERT_EQ(s.tree().NumNodes(), before.tree().NumNodes());
+  for (size_t id = 0; id < s.tree().NumNodes(); ++id) {
+    const PartitionTree::Node& now = s.tree().node(static_cast<int32_t>(id));
+    const PartitionTree::Node& was =
+        before.tree().node(static_cast<int32_t>(id));
+    EXPECT_EQ(now.stats.count, was.stats.count) << "node " << id;
+    EXPECT_EQ(testing::Bits(now.stats.sum), testing::Bits(was.stats.sum));
+    EXPECT_EQ(testing::Bits(now.stats.sum_sq),
+              testing::Bits(was.stats.sum_sq));
+    EXPECT_EQ(now.stats.min, was.stats.min);
+    EXPECT_EQ(now.stats.max, was.stats.max);
+    EXPECT_EQ(now.data_bounds, was.data_bounds) << "node " << id;
+  }
+  for (size_t leaf = 0; leaf < s.NumLeaves(); ++leaf) {
+    const StratifiedSample& now = s.leaf_sample(leaf);
+    const StratifiedSample& was = before.leaf_sample(leaf);
+    ASSERT_EQ(now.size(), was.size()) << "leaf " << leaf;
+    for (size_t i = 0; i < now.size(); ++i) {
+      EXPECT_EQ(testing::Bits(now.agg(i)), testing::Bits(was.agg(i)));
+      for (size_t dim = 0; dim < now.NumDims(); ++dim) {
+        EXPECT_EQ(testing::Bits(now.pred(dim, i)),
+                  testing::Bits(was.pred(dim, i)));
+      }
+    }
+  }
+}
+
 TEST(SynopsisUpdates, HardBoundsSurviveUpdates) {
   Dataset data = MakeIntelLike(20000, 66);
   BuildOptions options;
