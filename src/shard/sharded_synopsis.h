@@ -26,10 +26,11 @@ namespace pass {
 /// is exactly a plain PASS synopsis (answers are delegated unmerged, bit
 /// for bit). With two or more, AVG is always the fused ratio over the
 /// merged SUM and COUNT: EstimatorOptions::zero_variance_rule does not
-/// apply, and BuildShardedSynopsis rejects AvgMode::kPaperWeights. Shards are planned and scanned in index order on the calling
-/// thread: one shard's plan and estimate take a few microseconds, less
-/// than handing it to another thread costs, so the only concurrency is
-/// many callers each walking every shard.
+/// apply, and BuildShardedSynopsis rejects AvgMode::kPaperWeights. Shards
+/// are planned and scanned in index order on the calling thread: one
+/// shard's plan and estimate take a few microseconds, less than handing
+/// it to another thread costs, so the only concurrency is many callers
+/// each walking every shard.
 class ShardedSynopsis final : public AqpSystem {
  public:
   ShardedSynopsis() = default;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <numeric>
 #include <utility>
@@ -10,6 +9,7 @@
 
 #include <gtest/gtest.h>
 #include "common/rng.h"
+#include "tests/test_util.h"
 
 namespace pass {
 namespace {
@@ -207,12 +207,6 @@ TEST(MultiSplit, MedianIsTheValueOfRankHalfN) {
   }
 }
 
-uint64_t Bits(double v) {
-  uint64_t b = 0;
-  std::memcpy(&b, &v, sizeof b);
-  return b;
-}
-
 /// The split threshold `MultiSplit` picks for column `col` over
 /// [begin, end), read as the low child's upper edge.
 double SplitMedian(const std::vector<double>& col, size_t begin, size_t end) {
@@ -262,9 +256,8 @@ std::vector<std::pair<const char*, std::vector<double>>> MedianColumns() {
   // A huge value at every position the selection samples, ordinary values
   // elsewhere: the sample sees only the huge values, so its pivots miss
   // the median, which forces the full copy. The stride mirrors the
-  // selection's sample of about n^(2/3) values over a range; the column
-  // is shifted to the range's start, and every range length below gets
-  // its own stride, so both ranges get one such column.
+  // selection's sample of about n^(2/3) values over n rows starting at
+  // 123; each long range length below has its own stride and column.
   for (const size_t n : {size_t{9'001}, size_t{50'001}}) {
     std::vector<double>& periodic =
         add(n < 10'000 ? "periodic (short)" : "periodic (long)");
@@ -280,8 +273,9 @@ std::vector<std::pair<const char*, std::vector<double>>> MedianColumns() {
   std::vector<double>& nan = add("one NaN");
   for (double& v : nan) v = rng.UniformDouble(-5.0, 5.0);
   nan[6'000] = std::numeric_limits<double>::quiet_NaN();  // in every range
-  // Half the range below zero, then zeros of both signs straddling rank
-  // n / 2, so the median is a zero whose sign depends on the arrangement.
+  // A quarter negative, a quarter positive and half zeros of both signs,
+  // in random order: rank n / 2 falls among the zeros, so the median is a
+  // zero whose sign depends on the arrangement.
   std::vector<double>& zeros = add("-0.0 and +0.0 at the median");
   for (double& v : zeros) {
     const double u = rng.UniformDouble(1.0, 2.0);
@@ -302,8 +296,8 @@ TEST(MultiSplit, MedianBitsEqualNthElementOnACopy) {
           std::pair<size_t, size_t>{123, 123 + 50'001},
           std::pair<size_t, size_t>{4'000, 4'000 + 2'500},
           std::pair<size_t, size_t>{1, kN}}) {
-      EXPECT_EQ(Bits(SplitMedian(col, begin, end)),
-                Bits(CopyMedian(col, begin, end)))
+      EXPECT_EQ(testing::Bits(SplitMedian(col, begin, end)),
+                testing::Bits(CopyMedian(col, begin, end)))
           << name << " over [" << begin << ", " << end << ")";
     }
   }

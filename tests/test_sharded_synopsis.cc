@@ -92,7 +92,8 @@ TEST(ShardedSynopsis, PaperWeightsAvgIsRejectedAcrossShards) {
   }
   EngineConfig ratio = PaperWeightsConfig(2);
   ratio.estimator.avg_mode = AvgMode::kRatio;
-  EXPECT_TRUE(EngineRegistry::Global().Create("sharded_pass", data, ratio).ok());
+  EXPECT_TRUE(
+      EngineRegistry::Global().Create("sharded_pass", data, ratio).ok());
 }
 
 // One shard keeps the mode: its paper-weights AVG answers are the plain
