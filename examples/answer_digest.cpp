@@ -3,8 +3,9 @@
 /// sharded (K in {2, 4}), resumed-session, one-shot budgeted (every
 /// aggregate, K in {1, 2, 4}) and cache-hit paths, on a fixed
 /// dataset and workload, and of the default (ADP) builds: the greedy kd
-/// expansion on 3-D data and the 1-D DP, unsharded and at K=4, and of
-/// 100k-row 3-D kd builds (greedy, breadth-first and at K=2). Every
+/// expansion on 3-D data and the 1-D DP, unsharded and at K=4, of
+/// 100k-row 3-D kd builds (greedy, breadth-first and at K=2), and of
+/// synopses that took a stream of inserts and deletes (Section 4.5). Every
 /// floating-point field is shown as its raw hex bit pattern, so two builds
 /// can be compared for exact bit-identity by diffing stdout:
 ///
@@ -17,18 +18,22 @@
 /// builds.
 
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/macros.h"
 #include "core/answer.h"
+#include "core/synopsis.h"
 #include "data/generators.h"
 #include "data/workload.h"
 #include "engine/engine_registry.h"
 #include "kernel/scan_kernel.h"
+#include "partition/builder.h"
 
 namespace {
 
@@ -93,6 +98,45 @@ std::unique_ptr<AqpSystem> MakeEngine(const Dataset& data,
                                       const std::string& name,
                                       size_t num_shards, bool cache) {
   return MakeEngine(data, name, DigestConfig(num_shards, cache));
+}
+
+/// The rows an update stream replays on a synopsis: on every dim, each
+/// leaf condition's lo and hi and their nextafter neighbours both ways
+/// (the other coordinates at the leaf's data lo); then -0.0, +0.0, -inf,
+/// +inf and NaN, and a point on either side of the data range (the other
+/// coordinates at the root's data lo).
+std::vector<std::vector<double>> UpdateStream(const PartitionTree& tree) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const Rect& root = tree.node(tree.root()).data_bounds;
+  const size_t d = root.NumDims();
+  std::vector<std::vector<double>> rows;
+  const auto add = [&](const Rect& base, size_t dim, double x) {
+    std::vector<double> row(d);
+    for (size_t i = 0; i < d; ++i) row[i] = base.dim(i).lo;
+    row[dim] = x;
+    rows.push_back(std::move(row));
+  };
+  for (const int32_t leaf : tree.leaves()) {
+    const PartitionTree::Node& n = tree.node(leaf);
+    for (size_t dim = 0; dim < d; ++dim) {
+      for (const double edge : {n.condition.dim(dim).lo,
+                                n.condition.dim(dim).hi}) {
+        add(n.data_bounds, dim, std::nextafter(edge, -kInf));
+        add(n.data_bounds, dim, edge);
+        add(n.data_bounds, dim, std::nextafter(edge, kInf));
+      }
+    }
+  }
+  for (size_t dim = 0; dim < d; ++dim) {
+    const Interval& range = root.dim(dim);
+    const double span = range.hi - range.lo + 1.0;
+    for (const double x : {-0.0, 0.0, -kInf, kInf,
+                           std::numeric_limits<double>::quiet_NaN(),
+                           range.lo - span, range.hi + span}) {
+      add(root, dim, x);
+    }
+  }
+  return rows;
 }
 
 }  // namespace
@@ -283,6 +327,65 @@ int main() {
           std::snprintf(label, sizeof(label), "%s%s q%zu", build.tag,
                         AggTag(agg), i);
           PrintAnswer(label, engine->Answer(WithAgg(big_queries[i], agg)));
+        }
+      }
+    }
+  }
+
+  // Updates (Section 4.5): `pass` over the shared rows as a 1-D
+  // equal-depth, a 1-D ADP and a 3-D kd (ADP) synopsis, each replaying
+  // UpdateStream's rows with finite aggregates as inserts. Every fourth row
+  // is deleted again right after its insert, and every fifth deletes one
+  // of the base rows. Then the count of refused inserts and deletes, and
+  // SUM, COUNT and AVG on the workload's ranges.
+  {
+    struct UpdateBuild {
+      const char* tag;
+      size_t dims;
+      PartitionStrategy strategy;
+    };
+    const UpdateBuild builds[] = {
+        {"update_1d_eq", 1, PartitionStrategy::kEqualDepth},
+        {"update_1d_adp", 1, PartitionStrategy::kAdp},
+        {"update_kd3_adp", 3, PartitionStrategy::kAdp}};
+    for (const UpdateBuild& build : builds) {
+      const Dataset base = data.WithPredDims(build.dims);
+      WorkloadOptions wl_build = wl;
+      if (build.dims == 3) wl_build.template_dims = {0, 1, 2};
+      const std::vector<Query> build_queries =
+          RandomRangeQueries(base, wl_build);
+      BuildOptions options;
+      options.strategy = build.strategy;
+      options.num_leaves = 16;
+      options.sample_rate = 0.1;
+      options.seed = 42;
+      Result<Synopsis> built = BuildSynopsis(base, options);
+      PASS_CHECK_MSG(built.ok(), built.status().ToString().c_str());
+      Synopsis synopsis = std::move(built).value();
+      size_t refused = 0;
+      const std::vector<std::vector<double>> rows =
+          UpdateStream(synopsis.tree());
+      std::vector<double> base_row(build.dims);
+      for (size_t i = 0; i < rows.size(); ++i) {
+        const double agg = 0.5 + static_cast<double>(i % 9);
+        refused += synopsis.Insert(rows[i], agg) ? 0 : 1;
+        if (i % 4 == 3) refused += synopsis.Delete(rows[i], agg) ? 0 : 1;
+        if (i % 5 == 4) {
+          const size_t r = (i * 131) % base.NumRows();
+          for (size_t dim = 0; dim < build.dims; ++dim) {
+            base_row[dim] = base.pred(dim, r);
+          }
+          refused += synopsis.Delete(base_row, base.agg(r)) ? 0 : 1;
+        }
+      }
+      std::printf("%s rows=%zu refused=%zu\n", build.tag, rows.size(),
+                  refused);
+      for (const AggregateType agg :
+           {AggregateType::kSum, AggregateType::kCount, AggregateType::kAvg}) {
+        for (size_t i = 0; i < build_queries.size(); ++i) {
+          std::snprintf(label, sizeof(label), "%s%s q%zu", build.tag,
+                        AggTag(agg), i);
+          PrintAnswer(label, synopsis.Answer(WithAgg(build_queries[i], agg)));
         }
       }
     }
