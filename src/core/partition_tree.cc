@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/macros.h"
 
@@ -44,6 +45,55 @@ void PartitionTree::FinalizeLeaves() {
       }
     }
   }
+  IndexLeafCuts();
+}
+
+void PartitionTree::IndexLeafCuts() {
+  cut_dim_ = -1;
+  leaf_hi_.clear();
+  if (leaves_.size() < 2) return;
+  const Rect& root = node(root_).condition;
+  const size_t d = root.NumDims();
+  // c is the first dim on which leaf 0 differs from the root.
+  const Rect& first = node(leaves_.front()).condition;
+  if (first.NumDims() != d) return;
+  size_t c = 0;
+  while (c < d && first.dim(c) == root.dim(c)) ++c;
+  if (c == d) return;
+  std::vector<double> hi;
+  hi.reserve(leaves_.size());
+  for (const int32_t leaf : leaves_) {
+    const Interval& iv = node(leaf).condition.dim(c);
+    const double lo =
+        hi.empty() ? root.dim(c).lo
+                   : std::nextafter(hi.back(),
+                                    std::numeric_limits<double>::infinity());
+    if (!(iv.lo == lo && iv.lo <= iv.hi)) return;
+    hi.push_back(iv.hi);
+  }
+  // Every node, the leaves and the root included, equals the root off c
+  // and spans its first leaf's lo to its last leaf's hi on c. Then each
+  // child tiles a run of its parent's leaves, so the walk's first child
+  // that contains a point holds the first leaf that does.
+  std::vector<int32_t> stack = {root_};
+  while (!stack.empty()) {
+    const int32_t id = stack.back();
+    stack.pop_back();
+    const Node& n = node(id);
+    if (n.condition.NumDims() != d) return;
+    int32_t front = id;
+    int32_t back = id;
+    while (!node(front).IsLeaf()) front = node(front).children.front();
+    while (!node(back).IsLeaf()) back = node(back).children.back();
+    const Interval span{node(front).condition.dim(c).lo,
+                        node(back).condition.dim(c).hi};
+    for (size_t dim = 0; dim < d; ++dim) {
+      if (n.condition.dim(dim) != (dim == c ? span : root.dim(dim))) return;
+    }
+    stack.insert(stack.end(), n.children.begin(), n.children.end());
+  }
+  cut_dim_ = static_cast<int32_t>(c);
+  leaf_hi_ = std::move(hi);
 }
 
 uint32_t PartitionTree::Height() const {
@@ -96,6 +146,19 @@ int32_t PartitionTree::RouteToLeaf(const std::vector<double>& point) const {
   if (root_ < 0) return -1;
   int32_t id = root_;
   if (!node(id).condition.ContainsPoint(point)) return -1;
+  if (cut_dim_ >= 0) {
+    // Branch-free lower_bound: the first leaf whose hi is >= x. The root
+    // check refused a NaN x and bounds x by the last hi, so one exists.
+    const double x = point[static_cast<size_t>(cut_dim_)];
+    size_t first = 0;
+    size_t n = leaf_hi_.size();
+    while (n > 1) {
+      const size_t half = n / 2;
+      first += leaf_hi_[first + half - 1] < x ? half : 0;
+      n -= half;
+    }
+    return leaves_[first];
+  }
   while (!node(id).IsLeaf()) {
     int32_t next = -1;
     for (const int32_t child : node(id).children) {

@@ -72,6 +72,16 @@ class PartitionTree {
 
   /// Assigns dense leaf ids (DFS order) and records the leaf list. Must be
   /// called once the shape is final and before MCF/estimation.
+  ///
+  /// Also indexes the leaf cuts of a tree shaped like every 1-D builder's:
+  /// in leaf-id order the leaves equal the root's condition on every dim
+  /// but one, c, and on c they tile the root's interval with no gap (the
+  /// first lo is the root's, each next lo is nextafter(previous hi, +inf),
+  /// the last hi is the root's), and every internal node equals the root
+  /// off c and spans its first leaf's lo to its last leaf's hi on c. Such
+  /// a tree keeps c and its leaves' hi values on c, 8 bytes per leaf, for
+  /// RouteToLeaf; any other tree (kd builds, hand-built trees with gaps)
+  /// keeps none. A condition changed after this call needs another call.
   void FinalizeLeaves();
 
   // --- Read API -------------------------------------------------------------
@@ -88,6 +98,10 @@ class PartitionTree {
   /// leaf_id -> node id.
   const std::vector<int32_t>& leaves() const { return leaves_; }
 
+  /// The dim whose leaf cuts FinalizeLeaves indexed for RouteToLeaf, or -1
+  /// when RouteToLeaf walks the conditions.
+  int32_t cut_dim() const { return cut_dim_; }
+
   uint32_t Height() const;
 
   /// Algorithm 1 with the two practical extensions from the paper:
@@ -101,11 +115,15 @@ class PartitionTree {
   /// 0-variance rule).
   Coverage Classify(int32_t id, const Rect& query) const;
 
-  /// Returns the leaf whose *condition* contains the point, descending from
-  /// the root (used to route inserted rows). Returns -1 if the point lies
-  /// outside the root's condition or if no child of a node on the way down
-  /// claims it: a kd split omits empty orthants, so a kd node's children
-  /// need not cover its condition.
+  /// Returns the leaf whose *condition* contains the point (used to route
+  /// inserted rows). Returns -1 if the point lies outside the root's
+  /// condition, a NaN coordinate included, or if no child of a node on the
+  /// way down claims it: a kd split omits empty orthants, so a kd node's
+  /// children need not cover its condition. A tree whose leaf cuts
+  /// FinalizeLeaves indexed (every 1-D build) finds the leaf by binary
+  /// search over them; any other tree tests each child's condition from
+  /// the root down. On an indexed tree both find the same leaf: the
+  /// first, in leaf-id order, whose condition contains the point.
   int32_t RouteToLeaf(const std::vector<double>& point) const;
 
   /// Structural validation for tests: parent/child containment (conditions
@@ -118,9 +136,17 @@ class PartitionTree {
   void McfVisit(int32_t id, const Rect& query, bool zero_variance_as_covered,
                 Frontier* out) const;
 
+  /// Sets cut_dim_ and leaf_hi_ when the tree has the 1-D shape that
+  /// FinalizeLeaves describes; clears them otherwise.
+  void IndexLeafCuts();
+
   std::vector<Node> nodes_;
   std::vector<int32_t> leaves_;
   int32_t root_ = -1;
+  /// The leaf-cut index: the dim the leaves tile, or -1 when RouteToLeaf
+  /// walks, and each leaf's hi on it in leaf-id order.
+  int32_t cut_dim_ = -1;
+  std::vector<double> leaf_hi_;
 };
 
 }  // namespace pass

@@ -80,7 +80,7 @@ SystemCosts Synopsis::Costs() const {
 }
 
 bool Synopsis::Insert(const std::vector<double>& preds, double agg) {
-  if (!HasArity(samples_, preds)) return false;
+  if (!HasArity(samples_, preds) || !std::isfinite(agg)) return false;
   const int32_t leaf = tree_.RouteToLeaf(preds);
   if (leaf < 0) return false;
   // Patch aggregates and data bounds from the leaf up to the root.
@@ -112,7 +112,7 @@ bool Synopsis::Insert(const std::vector<double>& preds, double agg) {
 }
 
 bool Synopsis::Delete(const std::vector<double>& preds, double agg) {
-  if (!HasArity(samples_, preds)) return false;
+  if (!HasArity(samples_, preds) || !std::isfinite(agg)) return false;
   const int32_t leaf = tree_.RouteToLeaf(preds);
   if (leaf < 0) return false;
   if (tree_.node(leaf).stats.count == 0) return false;

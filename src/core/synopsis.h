@@ -95,7 +95,9 @@ class Synopsis final : public AqpSystem {
   // --- Dynamic updates (Section 4.5) ---------------------------------------
 
   /// Inserts a tuple. Returns false, changing nothing, when the row has
-  /// the wrong arity or no leaf condition contains the point. The 1-D
+  /// the wrong arity, the aggregate is NaN or infinite (it would turn the
+  /// sums of its leaf and every ancestor non-finite for good), or no leaf
+  /// condition contains the point, as for a NaN coordinate. The 1-D
   /// builders' leaves tile the whole line, but a kd split omits the
   /// orthants no row fell in, so a kd tree's leaves need not cover its
   /// root: over pickup and dropoff day, a row dropped off before it was
@@ -105,7 +107,9 @@ class Synopsis final : public AqpSystem {
   /// Deletes one tuple with exactly these values, if the synopsis can route
   /// it to a leaf that has a positive count. Aggregate counts and sums are
   /// patched exactly; extrema remain conservative. If an identical row is
-  /// present in the leaf sample, one copy is removed.
+  /// present in the leaf sample, one copy is removed. Returns false,
+  /// changing nothing, for every row Insert refuses (a NaN or infinite
+  /// aggregate included) and when the leaf is empty.
   bool Delete(const std::vector<double>& preds, double agg);
 
   // --- Metadata set by builders ---------------------------------------------

@@ -1,5 +1,10 @@
 #include "core/partition_tree.h"
 
+#include <cmath>
+#include <limits>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "data/generators.h"
@@ -141,6 +146,15 @@ TEST_F(SmallTreeTest, RouteToLeafByCondition) {
   EXPECT_EQ(tree_.RouteToLeaf({11.0}), leaf_ids_[3]);
 }
 
+// The leaves leave gaps between them under an unbounded root, so the tree
+// keeps the walk, which refuses a point in a gap or past the last leaf.
+TEST_F(SmallTreeTest, GappedLeavesKeepTheWalk) {
+  EXPECT_EQ(tree_.cut_dim(), -1);
+  EXPECT_EQ(tree_.RouteToLeaf({2.45}), -1);
+  EXPECT_EQ(tree_.RouteToLeaf({-1.0}), -1);
+  EXPECT_EQ(tree_.RouteToLeaf({100.0}), -1);
+}
+
 TEST_F(SmallTreeTest, ValidateCatchesBrokenAggregates) {
   tree_.mutable_node(mid_ids_[0]).stats.sum += 100.0;
   EXPECT_FALSE(tree_.ValidateInvariants().ok());
@@ -167,6 +181,188 @@ TEST(PartitionTreeBuilt, BuilderTreesSatisfyInvariants) {
     EXPECT_GE(s.tree().NumLeaves(), 2u);
     EXPECT_LE(s.tree().NumLeaves(), 16u);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Routing: the leaf-cut index against the walk
+// ---------------------------------------------------------------------------
+
+/// The reference router: from the root down, the first child whose
+/// condition contains the point; -1 when the root or no child does.
+int32_t WalkToLeaf(const PartitionTree& tree,
+                   const std::vector<double>& point) {
+  int32_t id = tree.root();
+  if (id < 0 || !tree.node(id).condition.ContainsPoint(point)) return -1;
+  while (!tree.node(id).IsLeaf()) {
+    int32_t next = -1;
+    for (const int32_t child : tree.node(id).children) {
+      if (tree.node(child).condition.ContainsPoint(point)) {
+        next = child;
+        break;
+      }
+    }
+    if (next < 0) return -1;
+    id = next;
+  }
+  return id;
+}
+
+/// Points on and around every cut of `tree`: on every dim, each leaf
+/// condition's lo and hi and their nextafter neighbours both ways (the
+/// other coordinates at the leaf's data lo); then -0.0, +0.0, -inf, +inf,
+/// NaN and a point on either side of the data range (the other coordinates
+/// at the root's data lo), so NaN lands in every dim, the cut dim or not.
+std::vector<std::vector<double>> RoutingProbes(const PartitionTree& tree) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const Rect& root = tree.node(tree.root()).data_bounds;
+  const size_t d = root.NumDims();
+  std::vector<std::vector<double>> probes;
+  const auto add = [&](const Rect& base, size_t dim, double x) {
+    std::vector<double> point(d);
+    for (size_t i = 0; i < d; ++i) point[i] = base.dim(i).lo;
+    point[dim] = x;
+    probes.push_back(std::move(point));
+  };
+  for (const int32_t leaf : tree.leaves()) {
+    const PartitionTree::Node& n = tree.node(leaf);
+    for (size_t dim = 0; dim < d; ++dim) {
+      for (const double edge :
+           {n.condition.dim(dim).lo, n.condition.dim(dim).hi}) {
+        add(n.data_bounds, dim, std::nextafter(edge, -kInf));
+        add(n.data_bounds, dim, edge);
+        add(n.data_bounds, dim, std::nextafter(edge, kInf));
+      }
+    }
+  }
+  for (size_t dim = 0; dim < d; ++dim) {
+    const Interval& range = root.dim(dim);
+    const double span = range.hi - range.lo + 1.0;
+    for (const double x :
+         {-0.0, 0.0, -kInf, kInf, std::numeric_limits<double>::quiet_NaN(),
+          range.lo - span, range.hi + span}) {
+      add(root, dim, x);
+    }
+  }
+  return probes;
+}
+
+/// Routes every probe and every 7th row of `data` both ways and expects
+/// the same leaf; reports the first few disagreements.
+void ExpectRoutesLikeTheWalk(const PartitionTree& tree, const Dataset& data,
+                             const std::string& what) {
+  std::vector<std::vector<double>> points = RoutingProbes(tree);
+  for (size_t row = 0; row < data.NumRows(); row += 7) {
+    std::vector<double> point(data.NumPredDims());
+    for (size_t dim = 0; dim < point.size(); ++dim) {
+      point[dim] = data.pred(dim, row);
+    }
+    points.push_back(std::move(point));
+  }
+  size_t mismatches = 0;
+  for (const std::vector<double>& point : points) {
+    const int32_t want = WalkToLeaf(tree, point);
+    const int32_t got = tree.RouteToLeaf(point);
+    if (got != want && ++mismatches <= 5) {
+      std::string coords;
+      for (const double x : point) coords += " " + std::to_string(x);
+      ADD_FAILURE() << what << ": point" << coords << " routed to " << got
+                    << ", the walk to " << want;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << what << " over " << points.size()
+                            << " points";
+}
+
+// Every 1-D strategy, at fanout 2 and 3, over 1-D data and over dim 1 of
+// 3-D data, builds the shape whose leaf cuts FinalizeLeaves indexes, and
+// the binary search over them routes every point as the walk does.
+TEST(PartitionTreeRouting, OneDimBuildsIndexTheirCutsAndRouteLikeTheWalk) {
+  const Dataset uniform = MakeUniform(3000, 79);
+  const Dataset taxi3 = MakeTaxiLike(3000, 80).WithPredDims(3);
+  struct Input {
+    const Dataset* data;
+    size_t dim;
+  };
+  for (const Input input : {Input{&uniform, 0}, Input{&taxi3, 1}}) {
+    for (const auto strategy :
+         {PartitionStrategy::kEqualDepth, PartitionStrategy::kEqualWidth,
+          PartitionStrategy::kAdp, PartitionStrategy::kDpExact}) {
+      for (const size_t fanout : {2u, 3u}) {
+        BuildOptions options;
+        options.strategy = strategy;
+        options.num_leaves = 13;
+        options.fanout = fanout;
+        options.opt_sample_size = 250;
+        options.partition_dims = {input.dim};
+        const Synopsis s = testing::MustBuild(*input.data, options);
+        const std::string what = std::string(StrategyName(strategy)) +
+                                 " fanout " + std::to_string(fanout) +
+                                 " dim " + std::to_string(input.dim);
+        EXPECT_EQ(s.tree().cut_dim(), static_cast<int32_t>(input.dim))
+            << what;
+        EXPECT_GE(s.tree().NumLeaves(), 2u) << what;
+        ExpectRoutesLikeTheWalk(s.tree(), *input.data, what);
+      }
+    }
+  }
+}
+
+// kd builds tile no single dim, so they keep the walk; greedy and
+// breadth-first trees route every point as it does, empty orthants
+// included.
+TEST(PartitionTreeRouting, KdBuildsKeepTheWalk) {
+  const Dataset taxi3 = MakeTaxiLike(3000, 81).WithPredDims(3);
+  for (const auto strategy :
+       {PartitionStrategy::kKdGreedy, PartitionStrategy::kKdBreadthFirst}) {
+    BuildOptions options;
+    options.strategy = strategy;
+    options.num_leaves = 32;
+    const Synopsis s = testing::MustBuild(taxi3, options);
+    EXPECT_EQ(s.tree().cut_dim(), -1) << StrategyName(strategy);
+    ExpectRoutesLikeTheWalk(s.tree(), taxi3, StrategyName(strategy));
+  }
+}
+
+// A condition changed after FinalizeLeaves needs another call to it: a gap
+// opened between two leaves of a 1-D tree drops the index, and the walk
+// then refuses a point in the gap.
+TEST(PartitionTreeRouting, FinalizeLeavesAgainAfterAConditionChanges) {
+  const Dataset data = MakeUniform(2000, 82);
+  BuildOptions options;
+  options.num_leaves = 8;
+  options.strategy = PartitionStrategy::kEqualDepth;
+  PartitionTree tree = testing::MustBuild(data, options).tree();
+  ASSERT_EQ(tree.cut_dim(), 0);
+  const int32_t leaf = tree.leaves()[3];
+  Interval& cut = tree.mutable_node(leaf).condition.dim(0);
+  const double gap = cut.lo;
+  cut.lo = std::nextafter(gap, std::numeric_limits<double>::infinity());
+  tree.FinalizeLeaves();
+  EXPECT_EQ(tree.cut_dim(), -1);
+  EXPECT_EQ(tree.RouteToLeaf({gap}), -1);
+  EXPECT_EQ(tree.RouteToLeaf({cut.lo}), leaf);
+  ExpectRoutesLikeTheWalk(tree, data, "gapped equal-depth");
+}
+
+// The leaves alone do not decide: an internal node narrower than the span
+// of its leaves makes the walk refuse points its leaves hold, so such a
+// tree keeps the walk too.
+TEST(PartitionTreeRouting, InternalConditionsMustSpanTheirLeaves) {
+  const Dataset data = MakeUniform(2000, 83);
+  BuildOptions options;
+  options.num_leaves = 8;
+  options.strategy = PartitionStrategy::kEqualDepth;
+  PartitionTree tree = testing::MustBuild(data, options).tree();
+  const int32_t leaf = tree.leaves()[1];
+  const int32_t parent = tree.node(leaf).parent;
+  ASSERT_EQ(tree.node(parent).children.back(), leaf);
+  const double edge = tree.node(leaf).condition.dim(0).hi;
+  tree.mutable_node(parent).condition.dim(0).hi =
+      std::nextafter(edge, -std::numeric_limits<double>::infinity());
+  tree.FinalizeLeaves();
+  EXPECT_EQ(tree.cut_dim(), -1);
+  EXPECT_EQ(tree.RouteToLeaf({edge}), -1);
+  ExpectRoutesLikeTheWalk(tree, data, "narrowed internal node");
 }
 
 TEST(PartitionTreeBuilt, McfVisitBoundLogarithmic) {

@@ -1,5 +1,8 @@
 #include "core/synopsis.h"
 
+#include <cmath>
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "core/exact.h"
@@ -12,6 +15,34 @@ namespace {
 
 using testing::MustBuild;
 using testing::RangeQueryOnDim;
+
+/// Expects `now` to hold what `was` held, bit for bit: every node's stats
+/// and data bounds, and every leaf sample's rows.
+void ExpectSameNodesAndSamples(const Synopsis& now, const Synopsis& was) {
+  ASSERT_EQ(now.tree().NumNodes(), was.tree().NumNodes());
+  for (size_t id = 0; id < now.tree().NumNodes(); ++id) {
+    const PartitionTree::Node& a = now.tree().node(static_cast<int32_t>(id));
+    const PartitionTree::Node& b = was.tree().node(static_cast<int32_t>(id));
+    EXPECT_EQ(a.stats.count, b.stats.count) << "node " << id;
+    EXPECT_EQ(testing::Bits(a.stats.sum), testing::Bits(b.stats.sum));
+    EXPECT_EQ(testing::Bits(a.stats.sum_sq), testing::Bits(b.stats.sum_sq));
+    EXPECT_EQ(a.stats.min, b.stats.min);
+    EXPECT_EQ(a.stats.max, b.stats.max);
+    EXPECT_EQ(a.data_bounds, b.data_bounds) << "node " << id;
+  }
+  ASSERT_EQ(now.NumLeaves(), was.NumLeaves());
+  for (size_t leaf = 0; leaf < now.NumLeaves(); ++leaf) {
+    const StratifiedSample& a = now.leaf_sample(leaf);
+    const StratifiedSample& b = was.leaf_sample(leaf);
+    ASSERT_EQ(a.size(), b.size()) << "leaf " << leaf;
+    for (size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(testing::Bits(a.agg(i)), testing::Bits(b.agg(i)));
+      for (size_t dim = 0; dim < a.NumDims(); ++dim) {
+        EXPECT_EQ(testing::Bits(a.pred(dim, i)), testing::Bits(b.pred(dim, i)));
+      }
+    }
+  }
+}
 
 TEST(SynopsisBuilder, RespectsLeafBudget) {
   const Dataset data = MakeUniform(10000, 50);
@@ -271,32 +302,58 @@ TEST(SynopsisUpdates, InsertIntoAnEmptyKdOrthantIsRefusedAndChangesNothing) {
   Synopsis s = MustBuild(data, options);
   const Synopsis before = s;
   EXPECT_FALSE(s.Insert({40000.0, 30.0, 5.0, 0.0, 1000.0}, 2.0));
+  ExpectSameNodesAndSamples(s, before);
+}
 
-  ASSERT_EQ(s.tree().NumNodes(), before.tree().NumNodes());
-  for (size_t id = 0; id < s.tree().NumNodes(); ++id) {
-    const PartitionTree::Node& now = s.tree().node(static_cast<int32_t>(id));
-    const PartitionTree::Node& was =
-        before.tree().node(static_cast<int32_t>(id));
-    EXPECT_EQ(now.stats.count, was.stats.count) << "node " << id;
-    EXPECT_EQ(testing::Bits(now.stats.sum), testing::Bits(was.stats.sum));
-    EXPECT_EQ(testing::Bits(now.stats.sum_sq),
-              testing::Bits(was.stats.sum_sq));
-    EXPECT_EQ(now.stats.min, was.stats.min);
-    EXPECT_EQ(now.stats.max, was.stats.max);
-    EXPECT_EQ(now.data_bounds, was.data_bounds) << "node " << id;
+// No condition contains a NaN coordinate, in the cut dim of a 1-D tree or
+// in any dim of a kd tree: Insert and Delete refuse the row and change
+// nothing.
+TEST(SynopsisUpdates, NanCoordinatesAreRefusedAndChangeNothing) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  BuildOptions options;
+  options.num_leaves = 16;
+  Synopsis line = MustBuild(MakeUniform(5000, 71), options);
+  const Synopsis line_before = line;
+  EXPECT_FALSE(line.Insert({kNaN}, 1.0));
+  EXPECT_FALSE(line.Delete({kNaN}, 1.0));
+  ExpectSameNodesAndSamples(line, line_before);
+
+  Synopsis kd = MustBuild(MakeTaxiLike(4000, 72).WithPredDims(3), options);
+  const Synopsis kd_before = kd;
+  for (size_t dim = 0; dim < 3; ++dim) {
+    std::vector<double> row = {10.0, 10.0, 10.0};
+    row[dim] = kNaN;
+    EXPECT_FALSE(kd.Insert(row, 1.0)) << "dim " << dim;
+    EXPECT_FALSE(kd.Delete(row, 1.0)) << "dim " << dim;
   }
-  for (size_t leaf = 0; leaf < s.NumLeaves(); ++leaf) {
-    const StratifiedSample& now = s.leaf_sample(leaf);
-    const StratifiedSample& was = before.leaf_sample(leaf);
-    ASSERT_EQ(now.size(), was.size()) << "leaf " << leaf;
-    for (size_t i = 0; i < now.size(); ++i) {
-      EXPECT_EQ(testing::Bits(now.agg(i)), testing::Bits(was.agg(i)));
-      for (size_t dim = 0; dim < now.NumDims(); ++dim) {
-        EXPECT_EQ(testing::Bits(now.pred(dim, i)),
-                  testing::Bits(was.pred(dim, i)));
-      }
-    }
+  ExpectSameNodesAndSamples(kd, kd_before);
+}
+
+// A NaN or infinite aggregate would turn the sums of its leaf and of every
+// ancestor non-finite for good, and with them every SUM and its hard
+// bounds; a later Delete of an inf leaves NaN. Insert and Delete refuse
+// it and change nothing.
+TEST(SynopsisUpdates, NonFiniteAggregatesAreRefusedAndChangeNothing) {
+  const Dataset data = MakeUniform(5000, 70);
+  BuildOptions options;
+  options.num_leaves = 16;
+  Synopsis s = MustBuild(data, options);
+  const Synopsis before = s;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double agg :
+       {std::numeric_limits<double>::quiet_NaN(), kInf, -kInf}) {
+    EXPECT_FALSE(s.Insert({0.5}, agg)) << agg;
+    EXPECT_FALSE(s.Delete({0.5}, agg)) << agg;
+    EXPECT_FALSE(s.Delete({data.pred(0, 7)}, agg)) << agg;
   }
+  ExpectSameNodesAndSamples(s, before);
+  const QueryAnswer whole =
+      s.Answer(RangeQueryOnDim(AggregateType::kSum, 1, 0, -kInf, kInf));
+  EXPECT_TRUE(std::isfinite(whole.estimate.value));
+  ASSERT_TRUE(whole.hard_ub.has_value());
+  EXPECT_TRUE(std::isfinite(*whole.hard_ub));
+  // A finite aggregate on the same point is still taken.
+  EXPECT_TRUE(s.Insert({0.5}, 1.0));
 }
 
 TEST(SynopsisUpdates, HardBoundsSurviveUpdates) {
