@@ -119,8 +119,8 @@ std::vector<std::vector<double>> UpdateStream(const PartitionTree& tree) {
   for (const int32_t leaf : tree.leaves()) {
     const PartitionTree::Node& n = tree.node(leaf);
     for (size_t dim = 0; dim < d; ++dim) {
-      for (const double edge : {n.condition.dim(dim).lo,
-                                n.condition.dim(dim).hi}) {
+      for (const double edge :
+           {n.condition.dim(dim).lo, n.condition.dim(dim).hi}) {
         add(n.data_bounds, dim, std::nextafter(edge, -kInf));
         add(n.data_bounds, dim, edge);
         add(n.data_bounds, dim, std::nextafter(edge, kInf));
@@ -130,9 +130,9 @@ std::vector<std::vector<double>> UpdateStream(const PartitionTree& tree) {
   for (size_t dim = 0; dim < d; ++dim) {
     const Interval& range = root.dim(dim);
     const double span = range.hi - range.lo + 1.0;
-    for (const double x : {-0.0, 0.0, -kInf, kInf,
-                           std::numeric_limits<double>::quiet_NaN(),
-                           range.lo - span, range.hi + span}) {
+    for (const double x :
+         {-0.0, 0.0, -kInf, kInf, std::numeric_limits<double>::quiet_NaN(),
+          range.lo - span, range.hi + span}) {
       add(root, dim, x);
     }
   }

@@ -54,20 +54,19 @@ void PartitionTree::IndexLeafCuts() {
   if (leaves_.size() < 2) return;
   const Rect& root = node(root_).condition;
   const size_t d = root.NumDims();
-  // c is the first dim on which leaf 0 differs from the root.
   const Rect& first = node(leaves_.front()).condition;
   if (first.NumDims() != d) return;
   size_t c = 0;
   while (c < d && first.dim(c) == root.dim(c)) ++c;
   if (c == d) return;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   std::vector<double> hi;
   hi.reserve(leaves_.size());
   for (const int32_t leaf : leaves_) {
+    if (node(leaf).condition.NumDims() != d) return;
     const Interval& iv = node(leaf).condition.dim(c);
     const double lo =
-        hi.empty() ? root.dim(c).lo
-                   : std::nextafter(hi.back(),
-                                    std::numeric_limits<double>::infinity());
+        hi.empty() ? root.dim(c).lo : std::nextafter(hi.back(), kInf);
     if (!(iv.lo == lo && iv.lo <= iv.hi)) return;
     hi.push_back(iv.hi);
   }

@@ -80,8 +80,9 @@ class PartitionTree {
   /// the last hi is the root's), and every internal node equals the root
   /// off c and spans its first leaf's lo to its last leaf's hi on c. Such
   /// a tree keeps c and its leaves' hi values on c, 8 bytes per leaf, for
-  /// RouteToLeaf; any other tree (kd builds, hand-built trees with gaps)
-  /// keeps none. A condition changed after this call needs another call.
+  /// RouteToLeaf; any other tree (a kd build over several dims, a
+  /// hand-built tree with gaps) keeps none. A condition changed after this
+  /// call needs another call.
   void FinalizeLeaves();
 
   // --- Read API -------------------------------------------------------------
@@ -120,10 +121,10 @@ class PartitionTree {
   /// condition, a NaN coordinate included, or if no child of a node on the
   /// way down claims it: a kd split omits empty orthants, so a kd node's
   /// children need not cover its condition. A tree whose leaf cuts
-  /// FinalizeLeaves indexed (every 1-D build) finds the leaf by binary
-  /// search over them; any other tree tests each child's condition from
-  /// the root down. On an indexed tree both find the same leaf: the
-  /// first, in leaf-id order, whose condition contains the point.
+  /// FinalizeLeaves indexed (every tree the 1-D builders make) finds the
+  /// leaf by binary search over them; any other tree tests each child's
+  /// condition from the root down. On an indexed tree both find the same
+  /// leaf: the first, in leaf-id order, whose condition contains the point.
   int32_t RouteToLeaf(const std::vector<double>& point) const;
 
   /// Structural validation for tests: parent/child containment (conditions

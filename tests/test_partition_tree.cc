@@ -269,8 +269,7 @@ void ExpectRoutesLikeTheWalk(const PartitionTree& tree, const Dataset& data,
                     << ", the walk to " << want;
     }
   }
-  EXPECT_EQ(mismatches, 0u) << what << " over " << points.size()
-                            << " points";
+  EXPECT_EQ(mismatches, 0u) << what << ", " << points.size() << " points";
 }
 
 // Every 1-D strategy, at fanout 2 and 3, over 1-D data and over dim 1 of
@@ -295,9 +294,9 @@ TEST(PartitionTreeRouting, OneDimBuildsIndexTheirCutsAndRouteLikeTheWalk) {
         options.opt_sample_size = 250;
         options.partition_dims = {input.dim};
         const Synopsis s = testing::MustBuild(*input.data, options);
-        const std::string what = std::string(StrategyName(strategy)) +
-                                 " fanout " + std::to_string(fanout) +
-                                 " dim " + std::to_string(input.dim);
+        std::string what = StrategyName(strategy);
+        what += " fanout " + std::to_string(fanout);
+        what += " dim " + std::to_string(input.dim);
         EXPECT_EQ(s.tree().cut_dim(), static_cast<int32_t>(input.dim))
             << what;
         EXPECT_GE(s.tree().NumLeaves(), 2u) << what;

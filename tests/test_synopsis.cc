@@ -294,7 +294,8 @@ TEST(SynopsisUpdates, RowsOfTheWrongArityAreRejected) {
 // A kd split drops the orthants no row fell in, so a kd tree's leaves need
 // not cover its root. Over pickup and dropoff day, no trip is dropped off
 // before it was picked up: a row with pickup day 30 and dropoff day 0 lies
-// in no leaf, and Insert refuses it without touching the synopsis.
+// in no leaf, and Insert and Delete refuse it without touching the
+// synopsis.
 TEST(SynopsisUpdates, InsertIntoAnEmptyKdOrthantIsRefusedAndChangesNothing) {
   const Dataset data = MakeTaxiLike(200'000);
   BuildOptions options;
@@ -302,6 +303,7 @@ TEST(SynopsisUpdates, InsertIntoAnEmptyKdOrthantIsRefusedAndChangesNothing) {
   Synopsis s = MustBuild(data, options);
   const Synopsis before = s;
   EXPECT_FALSE(s.Insert({40000.0, 30.0, 5.0, 0.0, 1000.0}, 2.0));
+  EXPECT_FALSE(s.Delete({40000.0, 30.0, 5.0, 0.0, 1000.0}, 2.0));
   ExpectSameNodesAndSamples(s, before);
 }
 
