@@ -18,8 +18,8 @@ double MillisBetween(SteadyClock::time_point from, SteadyClock::time_point to) {
 }
 
 // Deadline pricing: the scheduler keeps an EWMA of the observed
-// per-scan-unit cost (run ms per sample row, fed by every budget-capable
-// query it completes) and grants a deadline query
+// per-scan-unit cost (run ms per sample row, fed by the budget-capable
+// queries it completes) and grants a deadline query
 //   floor(remaining_ms * kSafetyFactor / ewma_unit_cost_ms)
 // scan units, with the deadline itself attached as the soft cutoff.
 
@@ -33,6 +33,12 @@ constexpr double kInitialUnitCostMs = 5e-5;
 /// rest absorbs walk/merge overhead and estimation noise. The soft
 /// deadline backstops whatever this underestimates.
 constexpr double kSafetyFactor = 0.5;
+/// How long an idle worker polls for the next task before it parks on the
+/// condition variable. A futex wake-up costs several microseconds, more
+/// than a served query's answer; a parked worker costs no CPU. The window
+/// covers a client's round trip between one answer and its next submit,
+/// and bounds how long Shutdown's last worker lingers.
+constexpr std::chrono::microseconds kSpinWindow{50};
 
 /// Observations from runs that scanned fewer units than this are ignored:
 /// run_ms includes the fixed per-query overhead (MCF walk, split, merge),
@@ -78,12 +84,13 @@ struct QueryScheduler::Task {
   SteadyClock::time_point admitted;
   std::optional<SteadyClock::time_point> deadline;
   std::optional<StoppingCondition> until;
-  bool want_future = false;
-  std::promise<ScheduledAnswer> promise;
+  // Engaged only for a future submission: libstdc++'s promise allocates
+  // its shared state on construction, which a callback never reads.
+  std::optional<std::promise<ScheduledAnswer>> promise;
   Callback done;
 
   void Resolve(ScheduledAnswer result) {
-    if (want_future) promise.set_value(result);
+    if (promise) promise->set_value(result);
     if (done) done(std::move(result));
   }
 };
@@ -91,6 +98,7 @@ struct QueryScheduler::Task {
 QueryScheduler::QueryScheduler(const SchedulerOptions& options)
     : num_threads_(ResolveNumThreads(options.num_threads)),
       max_in_flight_(options.max_in_flight),
+      spin_allowed_(std::thread::hardware_concurrency() > num_threads_),
       unit_cost_ms_(kInitialUnitCostMs) {
   workers_.reserve(num_threads_);
   for (size_t i = 0; i < num_threads_; ++i) {
@@ -150,11 +158,11 @@ std::future<ScheduledAnswer> QueryScheduler::SubmitInternal(
   task->system = &system;
   task->query = std::move(query);
   task->until = options.until;
-  task->want_future = want_future;
   task->done = std::move(done);
   std::future<ScheduledAnswer> future;
-  if (want_future) future = task->promise.get_future();
+  if (want_future) future = task->promise.emplace().get_future();
 
+  bool only_queued = false;
   {
     MutexLock lock(mu_);
     // Backpressure: a bounded scheduler blocks the producer until a slot
@@ -172,10 +180,16 @@ std::future<ScheduledAnswer> QueryScheduler::SubmitInternal(
       }
       ++in_flight_;
       queue_.push_back(std::move(task));
+      queued_.store(queue_.size(), std::memory_order_relaxed);
+      only_queued = queue_.size() == 1;
     }
   }
   if (task == nullptr) {  // queued
-    task_ready_.NotifyOne();
+    // A spinning worker takes a lone task without a wake-up. The spinner
+    // clears spinning_ before it takes mu_ to re-check the queue, so a
+    // load that still reads the flag set precedes that re-check, which
+    // then finds this task.
+    if (!only_queued || !spinning_.load()) task_ready_.NotifyOne();
     return future;
   }
   ScheduledAnswer result;
@@ -185,16 +199,33 @@ std::future<ScheduledAnswer> QueryScheduler::SubmitInternal(
   return future;
 }
 
-void QueryScheduler::WorkerLoop() {
-  for (;;) {
-    std::unique_ptr<Task> task;
-    {
-      MutexLock lock(mu_);
-      while (!shutdown_ && queue_.empty()) task_ready_.Wait(mu_);
-      if (queue_.empty()) return;  // shutdown with a drained queue
-      task = std::move(queue_.front());
-      queue_.pop_front();
+std::unique_ptr<QueryScheduler::Task> QueryScheduler::NextTask() {
+  // Spin first, without the lock, if the queue looks empty and no other
+  // worker spins. The window ends on its own, so a spinner never misses
+  // shutdown by more than kSpinWindow. Each poll yields rather than
+  // pauses: the thread this worker has just woken (a client blocked on
+  // its future, or one its callback notified) may be queued on this very
+  // CPU, and a pausing spinner would hold it off for the whole window.
+  if (spin_allowed_ && queued_.load(std::memory_order_relaxed) == 0 &&
+      !spinning_.exchange(true)) {
+    const SteadyClock::time_point until = SteadyClock::now() + kSpinWindow;
+    while (queued_.load(std::memory_order_relaxed) == 0 &&
+           SteadyClock::now() < until) {
+      std::this_thread::yield();
     }
+    spinning_.store(false);  // before the re-check below (see Submit)
+  }
+  MutexLock lock(mu_);
+  while (!shutdown_ && queue_.empty()) task_ready_.Wait(mu_);
+  if (queue_.empty()) return nullptr;  // shutdown with a drained queue
+  std::unique_ptr<Task> task = std::move(queue_.front());
+  queue_.pop_front();
+  queued_.store(queue_.size(), std::memory_order_relaxed);
+  return task;
+}
+
+void QueryScheduler::WorkerLoop() {
+  while (std::unique_ptr<Task> task = NextTask()) {
     ScheduledAnswer result;
     RunTask(*task, &result);
     result.total_ms = MillisBetween(task->admitted, SteadyClock::now());
@@ -282,8 +313,10 @@ void QueryScheduler::RunTask(const Task& task, ScheduledAnswer* result) {
     result->truncated = result->answer.truncated;
   }
   // Deadline-free traffic warms the deadline-pricing EWMA too (scan units
-  // consumed are reported by every budget-capable system).
-  if (budgetable) {
+  // consumed are reported by every budget-capable system), unless a cache
+  // may have served it: a hit returns in about a microsecond, reporting
+  // the scan of the miss that stored it. Budgeted answers bypass caches.
+  if (budgetable && (anytime || task.system->AnswerCache() == nullptr)) {
     ObserveUnitCost(result->run_ms, result->answer.sample_rows_scanned);
   }
 }

@@ -1,6 +1,7 @@
 #ifndef PASS_ENGINE_QUERY_SCHEDULER_H_
 #define PASS_ENGINE_QUERY_SCHEDULER_H_
 
+#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -171,7 +172,9 @@ class QueryScheduler {
 
   /// Current EWMA of the per-scan-unit cost (ms per sample row) used to
   /// price deadlines. Starts at a fixed initial guess and learns from
-  /// every completed budget-capable query. Thread-safe.
+  /// every completed budget-capable query, except the unbudgeted answers
+  /// of a system with an answer cache: a cache hit reports the scan of
+  /// the miss that stored it. Thread-safe.
   double CalibratedUnitCostMs() const EXCLUDES(calibration_mu_);
 
   /// Admitted-but-unresolved submissions right now (queued + running).
@@ -231,6 +234,9 @@ class QueryScheduler {
       EXCLUDES(mu_);
   /// Pops and runs admitted tasks until shutdown leaves the queue empty.
   void WorkerLoop() EXCLUDES(mu_);
+  /// Takes the next queued task, or returns nullptr once shutdown has left
+  /// the queue empty. An idle worker may first spin (see spin_allowed_).
+  std::unique_ptr<Task> NextTask() EXCLUDES(mu_);
   /// Answers one dispatched task. Fills everything in `result` except
   /// total_ms.
   void RunTask(const Task& task, ScheduledAnswer* result);
@@ -251,6 +257,19 @@ class QueryScheduler {
   bool shutdown_ GUARDED_BY(mu_) = false;
   const size_t num_threads_;
   const size_t max_in_flight_;
+
+  /// The idle handoff. A worker that finds the queue empty polls
+  /// `queued_`, an atomic mirror of queue_.size() written under mu_, for
+  /// a bounded window before it parks on task_ready_. At most one worker
+  /// spins (`spinning_`), and only when the host has a hardware thread
+  /// beyond the workers (`spin_allowed_`), so the spinner never takes the
+  /// CPU of the thread producing its next task. A producer whose task is
+  /// the only one queued skips the notify while a worker spins: the
+  /// spinner clears `spinning_` before it re-checks the queue under mu_,
+  /// so it finds the task.
+  const bool spin_allowed_;
+  std::atomic<size_t> queued_{0};
+  std::atomic<bool> spinning_{false};
 
   /// Deadline-pricing EWMA, shared by every worker (its own lock so the
   /// hot admission path never contends with calibration updates).

@@ -5,13 +5,20 @@
 /// budget-capable engines (zero budget — pure bounds — once expired in
 /// the queue) and shed queued work only on engines without an anytime
 /// path, never truncating a running query; backpressure bounds the
-/// in-flight set; and Drain()/Shutdown() are graceful.
+/// in-flight set; Drain()/Shutdown() are graceful; and an idle worker
+/// that spins before it parks loses no wake-up.
 
 #include "engine/query_scheduler.h"
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
+#include <functional>
+#include <future>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -344,6 +351,45 @@ TEST(QueryScheduler, UnitCostCalibrationLearnsFromServedQueries) {
   EXPECT_GT(scheduler.CalibratedUnitCostMs(), 0.0);
 }
 
+/// A cache hit returns the stored answer in about a microsecond, but the
+/// answer still reports the scan of the miss that stored it: learning
+/// from it would price every later deadline far too cheap. So unbudgeted
+/// answers of a cached system leave the EWMA alone, while a deadline
+/// answer, which bypasses the cache, still calibrates it.
+TEST(QueryScheduler, UnitCostCalibrationIgnoresCachedAnswers) {
+  const Dataset data = MakeIntelLike(6000, 47);
+  EngineConfig config;
+  config.sample_rate = 0.2;
+  config.partitions = 8;
+  config.strategy = PartitionStrategy::kEqualDepth;
+  config.seed = 42;
+  config.cache.enabled = true;
+  auto engine = EngineRegistry::Global().Create("pass", data, config);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  ASSERT_NE((*engine)->AnswerCache(), nullptr);
+  const Query q = RangeQueryOnDim(AggregateType::kSum, data.NumPredDims(),
+                                  0, 3137.0, 9421.0);
+  // Warms the cache: every submission below is a hit.
+  ASSERT_GE((*engine)->Answer(q).sample_rows_scanned, 64u)
+      << "test query must clear the calibration threshold";
+
+  QueryScheduler scheduler(/*num_threads=*/1);
+  const double initial = scheduler.CalibratedUnitCostMs();
+  std::vector<std::future<ScheduledAnswer>> futures;
+  for (size_t i = 0; i < 8; ++i) {
+    futures.push_back(scheduler.Submit(**engine, q));
+  }
+  for (auto& f : futures) ASSERT_TRUE(f.get().status.ok());
+  EXPECT_EQ(scheduler.CalibratedUnitCostMs(), initial);
+
+  SubmitOptions generous;
+  generous.deadline = std::chrono::milliseconds(60'000);
+  const ScheduledAnswer budgeted =
+      scheduler.Submit(**engine, q, generous).get();
+  ASSERT_TRUE(budgeted.status.ok()) << budgeted.status.ToString();
+  EXPECT_NE(scheduler.CalibratedUnitCostMs(), initial);
+}
+
 TEST(QueryScheduler, QueuedQueryPastDeadlineIsShedUnrun) {
   BlockingSystem blocker;
   const Dataset data = MakeUniform(1000, /*seed=*/5, 1.0, 2.0);
@@ -549,6 +595,188 @@ TEST(QueryScheduler, EverySubmissionResolvesExactlyOnce) {
   EXPECT_EQ(failures, 0u);
   for (size_t id = 0; id < resolutions.size(); ++id) {
     EXPECT_EQ(resolutions[id], 1) << "submission " << id;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The idle handoff: a worker spins briefly before it parks
+// ---------------------------------------------------------------------------
+
+/// A worker spins only while the host has a hardware thread beyond the
+/// workers; these tests run one worker, so they need two.
+bool SpinPathRuns() { return std::thread::hardware_concurrency() >= 2; }
+
+/// Aborts the test binary unless it is destroyed within 10 s of its
+/// construction, so a lost wake-up fails the test instead of hanging it.
+/// Armed before the call it guards, so starting its thread costs that
+/// call nothing.
+class Watchdog {
+ public:
+  explicit Watchdog(const char* what)
+      : what_(what), thread_([this] {
+          std::unique_lock<std::mutex> lock(mu_);
+          if (!disarmed_cv_.wait_for(lock, std::chrono::seconds(10),
+                                     [this] { return disarmed_; })) {
+            std::fprintf(stderr, "%s did not return within 10 s\n", what_);
+            std::abort();
+          }
+        }) {}
+  ~Watchdog() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      disarmed_ = true;
+    }
+    disarmed_cv_.notify_all();
+    thread_.join();
+  }
+
+ private:
+  const char* what_;
+  std::mutex mu_;
+  std::condition_variable disarmed_cv_;
+  bool disarmed_ = false;
+  std::thread thread_;  // declared last: starts once the state above exists
+};
+
+/// serve_mix's loop on one worker: one query in flight, and each
+/// completion callback wakes the client, which submits the next. The
+/// worker is idle at every submit, so it is caught spinning, or, after
+/// each 100th answer, where the client first sleeps past the spin window,
+/// woken from its condition variable. Every answer keeps the synchronous
+/// bits. (A callback that submitted by itself would leave the queue
+/// non-empty when the worker returns from it, so the worker would never
+/// go idle.)
+TEST(QueryScheduler, ClosedLoopThroughTheIdleHandoffKeepsTheBits) {
+  if (!SpinPathRuns()) {
+    GTEST_SKIP() << "one hardware thread: a worker never spins here";
+  }
+  const Dataset data = MakeUniform(4000, /*seed=*/13, 1.0, 2.0);
+  const std::unique_ptr<AqpSystem> engine = MakeEngine(data, "pass");
+  WorkloadOptions wl;
+  wl.count = 50;
+  wl.seed = 211;
+  const std::vector<Query> queries = RandomRangeQueries(data, wl);
+  std::vector<QueryAnswer> sequential;
+  for (const Query& q : queries) sequential.push_back(engine->Answer(q));
+
+  constexpr size_t kQueries = 2000;
+  std::mutex mu;
+  std::condition_variable answered_cv;
+  size_t answered = 0;
+  size_t mismatches = 0;
+  // Declared last: it drains before the state its callbacks touch dies.
+  QueryScheduler scheduler(/*num_threads=*/1);
+  for (size_t k = 0; k < kQueries; ++k) {
+    if (k % 100 == 99) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    const size_t i = k % queries.size();
+    scheduler.Submit(*engine, queries[i], SubmitOptions{},
+                     [&, i](ScheduledAnswer got) {
+                       std::lock_guard<std::mutex> lock(mu);
+                       if (!got.status.ok() ||
+                           !AnswersBitIdentical(got.answer, sequential[i])) {
+                         ++mismatches;
+                       }
+                       ++answered;
+                       answered_cv.notify_all();
+                     });
+    std::unique_lock<std::mutex> lock(mu);
+    ASSERT_TRUE(answered_cv.wait_for(lock, std::chrono::seconds(10),
+                                     [&] { return answered == k + 1; }))
+        << "query " << k << " was not answered within 10 s";
+  }
+  std::lock_guard<std::mutex> lock(mu);
+  EXPECT_EQ(mismatches, 0u);
+}
+
+/// Bursts from four producers, 1 ms apart (longer than the spin window):
+/// the worker alternates between catching tasks while it spins and being
+/// woken from the condition variable. Every submission resolves exactly
+/// once, and Drain() returns.
+TEST(QueryScheduler, BurstsAcrossTheSpinWindowResolveExactlyOnce) {
+  if (!SpinPathRuns()) {
+    GTEST_SKIP() << "one hardware thread: a worker never spins here";
+  }
+  const Dataset data = MakeUniform(1000, /*seed=*/5, 1.0, 2.0);
+  const std::unique_ptr<AqpSystem> engine = MakeEngine(data, "uniform");
+  const Query q = MakeRangeQuery(AggregateType::kSum, 1.2, 1.8);
+  constexpr size_t kProducers = 4;
+  constexpr size_t kBursts = 40;
+  constexpr size_t kBurstSize = 8;
+  constexpr size_t kPerProducer = kBursts * kBurstSize;
+  std::mutex mu;
+  std::vector<int> resolutions(kProducers * kPerProducer, 0);
+  size_t failures = 0;
+  QueryScheduler scheduler(/*num_threads=*/1);
+  std::vector<std::thread> producers;
+  for (size_t p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      for (size_t id = p * kPerProducer; id < (p + 1) * kPerProducer; ++id) {
+        scheduler.Submit(*engine, q, SubmitOptions{},
+                         [&, id](ScheduledAnswer answer) {
+                           std::lock_guard<std::mutex> lock(mu);
+                           ++resolutions[id];
+                           if (!answer.status.ok()) ++failures;
+                         });
+        if ((id + 1) % kBurstSize == 0) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+      }
+    });
+  }
+  for (std::thread& t : producers) t.join();
+  {
+    Watchdog guard("Drain()");
+    scheduler.Drain();
+  }
+  std::lock_guard<std::mutex> lock(mu);
+  EXPECT_EQ(failures, 0u);
+  for (size_t id = 0; id < resolutions.size(); ++id) {
+    EXPECT_EQ(resolutions[id], 1) << "submission " << id;
+  }
+}
+
+/// Shutdown() right after an answer, while the idle worker spins: it
+/// returns, later submits resolve kUnavailable, and the destructor joins
+/// the worker once its spin ends. The client busy-waits for the answer,
+/// so no wake-up of its own delays the Shutdown past the spin window.
+TEST(QueryScheduler, ShutdownWhileTheWorkerSpinsReturns) {
+  if (!SpinPathRuns()) {
+    GTEST_SKIP() << "one hardware thread: a worker never spins here";
+  }
+  const Dataset data = MakeUniform(1000, /*seed=*/5, 1.0, 2.0);
+  const std::unique_ptr<AqpSystem> engine = MakeEngine(data, "uniform");
+  const Query q = MakeRangeQuery(AggregateType::kSum, 1.2, 1.8);
+  for (int round = 0; round < 50; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    std::atomic<bool> answered{false};
+    std::atomic<bool> answered_ok{false};
+    auto scheduler = std::make_unique<QueryScheduler>(/*num_threads=*/1);
+    Watchdog guard("an answer, Shutdown() and ~QueryScheduler()");
+    scheduler->Submit(*engine, q, SubmitOptions{},
+                      [&](ScheduledAnswer answer) {
+                        answered_ok = answer.status.ok();
+                        answered = true;
+                      });
+    while (!answered.load()) {
+    }
+    scheduler->Shutdown();
+    EXPECT_TRUE(answered_ok.load());
+
+    std::future<ScheduledAnswer> rejected = scheduler->Submit(*engine, q);
+    ASSERT_EQ(rejected.wait_for(std::chrono::seconds(0)),
+              std::future_status::ready);
+    EXPECT_EQ(rejected.get().status.code(), StatusCode::kUnavailable);
+    bool told = false;
+    scheduler->Submit(*engine, q, SubmitOptions{},
+                      [&](ScheduledAnswer answer) {
+                        EXPECT_EQ(answer.status.code(),
+                                  StatusCode::kUnavailable);
+                        told = true;
+                      });
+    EXPECT_TRUE(told);
+    scheduler.reset();
   }
 }
 
