@@ -621,6 +621,8 @@ class Watchdog {
             std::abort();
           }
         }) {}
+  Watchdog(const Watchdog&) = delete;
+  Watchdog& operator=(const Watchdog&) = delete;
   ~Watchdog() {
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -739,8 +741,9 @@ TEST(QueryScheduler, BurstsAcrossTheSpinWindowResolveExactlyOnce) {
 
 /// Shutdown() right after an answer, while the idle worker spins: it
 /// returns, later submits resolve kUnavailable, and the destructor joins
-/// the worker once its spin ends. The client busy-waits for the answer,
-/// so no wake-up of its own delays the Shutdown past the spin window.
+/// the worker once its spin ends. The worker resolves the future just
+/// before it goes idle, so the woken client's Shutdown lands in the spin
+/// window.
 TEST(QueryScheduler, ShutdownWhileTheWorkerSpinsReturns) {
   if (!SpinPathRuns()) {
     GTEST_SKIP() << "one hardware thread: a worker never spins here";
@@ -750,19 +753,11 @@ TEST(QueryScheduler, ShutdownWhileTheWorkerSpinsReturns) {
   const Query q = MakeRangeQuery(AggregateType::kSum, 1.2, 1.8);
   for (int round = 0; round < 50; ++round) {
     SCOPED_TRACE("round " + std::to_string(round));
-    std::atomic<bool> answered{false};
-    std::atomic<bool> answered_ok{false};
     auto scheduler = std::make_unique<QueryScheduler>(/*num_threads=*/1);
     Watchdog guard("an answer, Shutdown() and ~QueryScheduler()");
-    scheduler->Submit(*engine, q, SubmitOptions{},
-                      [&](ScheduledAnswer answer) {
-                        answered_ok = answer.status.ok();
-                        answered = true;
-                      });
-    while (!answered.load()) {
-    }
+    std::future<ScheduledAnswer> answered = scheduler->Submit(*engine, q);
+    ASSERT_TRUE(answered.get().status.ok());
     scheduler->Shutdown();
-    EXPECT_TRUE(answered_ok.load());
 
     std::future<ScheduledAnswer> rejected = scheduler->Submit(*engine, q);
     ASSERT_EQ(rejected.wait_for(std::chrono::seconds(0)),

@@ -27,9 +27,10 @@ verdict, taking the first rule that holds:
               the metric's bound; a metric without a bound (the
               per-layer ones) reads worse when the base meets the gain
               rule against the change;
-  unresolved  the base's spread, (max - min) / median, is wider than the
-              bound, not every change run beats every base run, and the
-              two sides differ in at least one pair;
+  unresolved  the base's spread, its interquartile range over its
+              median, is wider than the bound, not every change run
+              beats every base run, and the two sides differ in at least
+              one pair;
   no change   anything else.
 
 It also prints each side's median CPU time per run: user plus system
@@ -89,11 +90,10 @@ def children_cpu_s():
     return usage.ru_utime + usage.ru_stime
 
 
-def build(side, tree):
+def build(side, tree, log):
     """Builds a side's benchmark through its own run.py, untimed."""
     code = ("import sys; sys.path.insert(0, 'perfbench'); import run; "
             "sys.exit(0 if run.build() else 3)")
-    log = os.path.join(tempfile.gettempdir(), "perf_pairs_build.log")
     with open(log, "w") as out:
         done = subprocess.run([sys.executable, "-c", code], cwd=tree,
                               stdout=out, stderr=subprocess.STDOUT)
@@ -106,7 +106,7 @@ def build(side, tree):
 
 
 def run_once(side, tree, workload, seed, args):
-    """One perfbench run; returns its record, or None when it failed."""
+    """One perfbench run: returns its record and whether it passed."""
     command = [sys.executable, os.path.join("perfbench", "run.py"),
                "--workload", workload, "--seed", str(seed),
                "--seconds", str(args.seconds), "--trace", str(args.trace),
@@ -164,9 +164,8 @@ def verdict(base, change, better, bound):
         worse_by = math.inf
     if worse_by > bound:
         return "worse", wins
-    spread = max(base) - min(base)
-    spread = spread / abs(base_med) if base_med != 0 else (
-        math.inf if spread > 0 else 0.0)
+    spread = base_iqr / abs(base_med) if base_med != 0 else (
+        math.inf if base_iqr > 0 else 0.0)
     every_change_beats = all(beats(c, b) for b in base for c in change)
     if (spread > bound and not every_change_beats and
             any(b != c for b, c in zip(base, change))):
@@ -280,7 +279,7 @@ def main():
             return 2
         trees = {"base": base_tree, "change": ROOT}
         for side in ("base", "change"):
-            build(side, trees[side])
+            build(side, trees[side], os.path.join(tmp, side + "-build.log"))
 
         for workload in workloads:
             runs = []
