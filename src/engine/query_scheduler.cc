@@ -34,10 +34,10 @@ constexpr double kInitialUnitCostMs = 5e-5;
 /// deadline backstops whatever this underestimates.
 constexpr double kSafetyFactor = 0.5;
 /// How long an idle worker polls for the next task before it parks on the
-/// condition variable. A futex wake-up costs several microseconds, more
-/// than a served query's answer; a parked worker costs no CPU. The window
-/// covers a client's round trip between one answer and its next submit,
-/// and bounds how long Shutdown's last worker lingers.
+/// condition variable. A futex wake-up costs several microseconds, about
+/// as long as a served query's answer; a parked worker costs no CPU. The
+/// window covers a client's round trip between one answer and its next
+/// submit, and bounds how long Shutdown's last worker lingers.
 constexpr std::chrono::microseconds kSpinWindow{50};
 
 /// Observations from runs that scanned fewer units than this are ignored:
