@@ -98,7 +98,6 @@ struct QueryScheduler::Task {
 QueryScheduler::QueryScheduler(const SchedulerOptions& options)
     : num_threads_(ResolveNumThreads(options.num_threads)),
       max_in_flight_(options.max_in_flight),
-      spin_allowed_(std::thread::hardware_concurrency() > num_threads_),
       unit_cost_ms_(kInitialUnitCostMs) {
   workers_.reserve(num_threads_);
   for (size_t i = 0; i < num_threads_; ++i) {
@@ -206,7 +205,7 @@ std::unique_ptr<QueryScheduler::Task> QueryScheduler::NextTask() {
   // pauses: the thread this worker has just woken (a client blocked on
   // its future, or one its callback notified) may be queued on this very
   // CPU, and a pausing spinner would hold it off for the whole window.
-  if (spin_allowed_ && queued_.load(std::memory_order_relaxed) == 0 &&
+  if (queued_.load(std::memory_order_relaxed) == 0 &&
       !spinning_.exchange(true)) {
     const SteadyClock::time_point until = SteadyClock::now() + kSpinWindow;
     while (queued_.load(std::memory_order_relaxed) == 0 &&

@@ -235,7 +235,7 @@ class QueryScheduler {
   /// Pops and runs admitted tasks until shutdown leaves the queue empty.
   void WorkerLoop() EXCLUDES(mu_);
   /// Takes the next queued task, or returns nullptr once shutdown has left
-  /// the queue empty. An idle worker may first spin (see spin_allowed_).
+  /// the queue empty. An idle worker may first spin (see spinning_).
   std::unique_ptr<Task> NextTask() EXCLUDES(mu_);
   /// Answers one dispatched task. Fills everything in `result` except
   /// total_ms.
@@ -261,13 +261,11 @@ class QueryScheduler {
   /// The idle handoff. A worker that finds the queue empty polls
   /// `queued_`, an atomic mirror of queue_.size() written under mu_, for
   /// a bounded window before it parks on task_ready_. At most one worker
-  /// spins (`spinning_`), and only when the host has a hardware thread
-  /// beyond the workers (`spin_allowed_`), so the spinner never takes the
-  /// CPU of the thread producing its next task. A producer whose task is
-  /// the only one queued skips the notify while a worker spins: the
-  /// spinner clears `spinning_` before it re-checks the queue under mu_,
-  /// so it finds the task.
-  const bool spin_allowed_;
+  /// spins (`spinning_`), so an idle scheduler busies one CPU at most, and
+  /// each poll yields, so the spinner gives way to any thread queued on
+  /// its CPU. A producer whose task is the only one queued skips the
+  /// notify while a worker spins: the spinner clears `spinning_` before it
+  /// re-checks the queue under mu_, so it finds the task.
   std::atomic<size_t> queued_{0};
   std::atomic<bool> spinning_{false};
 

@@ -602,10 +602,6 @@ TEST(QueryScheduler, EverySubmissionResolvesExactlyOnce) {
 // The idle handoff: a worker spins briefly before it parks
 // ---------------------------------------------------------------------------
 
-/// A worker spins only while the host has a hardware thread beyond the
-/// workers; these tests run one worker, so they need two.
-bool SpinPathRuns() { return std::thread::hardware_concurrency() >= 2; }
-
 /// Aborts the test binary unless it is destroyed within 10 s of its
 /// construction, so a lost wake-up fails the test instead of hanging it.
 /// Armed before the call it guards, so starting its thread costs that
@@ -649,9 +645,6 @@ class Watchdog {
 /// non-empty when the worker returns from it, so the worker would never
 /// go idle.)
 TEST(QueryScheduler, ClosedLoopThroughTheIdleHandoffKeepsTheBits) {
-  if (!SpinPathRuns()) {
-    GTEST_SKIP() << "one hardware thread: a worker never spins here";
-  }
   const Dataset data = MakeUniform(4000, /*seed=*/13, 1.0, 2.0);
   const std::unique_ptr<AqpSystem> engine = MakeEngine(data, "pass");
   WorkloadOptions wl;
@@ -697,9 +690,6 @@ TEST(QueryScheduler, ClosedLoopThroughTheIdleHandoffKeepsTheBits) {
 /// woken from the condition variable. Every submission resolves exactly
 /// once, and Drain() returns.
 TEST(QueryScheduler, BurstsAcrossTheSpinWindowResolveExactlyOnce) {
-  if (!SpinPathRuns()) {
-    GTEST_SKIP() << "one hardware thread: a worker never spins here";
-  }
   const Dataset data = MakeUniform(1000, /*seed=*/5, 1.0, 2.0);
   const std::unique_ptr<AqpSystem> engine = MakeEngine(data, "uniform");
   const Query q = MakeRangeQuery(AggregateType::kSum, 1.2, 1.8);
@@ -745,9 +735,6 @@ TEST(QueryScheduler, BurstsAcrossTheSpinWindowResolveExactlyOnce) {
 /// before it goes idle, so the woken client's Shutdown lands in the spin
 /// window.
 TEST(QueryScheduler, ShutdownWhileTheWorkerSpinsReturns) {
-  if (!SpinPathRuns()) {
-    GTEST_SKIP() << "one hardware thread: a worker never spins here";
-  }
   const Dataset data = MakeUniform(1000, /*seed=*/5, 1.0, 2.0);
   const std::unique_ptr<AqpSystem> engine = MakeEngine(data, "uniform");
   const Query q = MakeRangeQuery(AggregateType::kSum, 1.2, 1.8);

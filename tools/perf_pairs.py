@@ -33,12 +33,19 @@ verdict, taking the first rule that holds:
               one pair;
   no change   anything else.
 
+Quartiles are statistics.quantiles(method="inclusive"): linear
+interpolation between order statistics, as perfbench takes its own
+percentiles. perfbench/baseline.py uses the default exclusive method,
+which reads a somewhat wider spread from the same ten runs.
+
 It also prints each side's median CPU time per run: user plus system
 seconds of the whole run.py process tree, setup included.
 
 One JSON summary (--out, default perf_pairs.json) holds every run, the
-verdicts, both commit ids, nproc and the CPU model. Exits 1, naming the
-run, as soon as a run fails or reports "correct": false (the summary then
+verdicts, both commit ids, the paths `git status --porcelain` lists for
+the working tree (untracked ones included), and perfbench/baseline.py's
+machine stamp (nproc, CPU model, compiler, OS). Exits 1, naming the run,
+as soon as a run fails or reports "correct": false (the summary then
 holds the runs so far); 2 on a bad revision or a failed build.
 """
 
@@ -48,6 +55,7 @@ import math
 import os
 import resource
 import shutil
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -57,32 +65,21 @@ ROOT = subprocess.run(
     ["git", "rev-parse", "--show-toplevel"], check=True, text=True,
     stdout=subprocess.PIPE, cwd=os.path.dirname(os.path.abspath(__file__))
 ).stdout.strip()
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+from baseline import machine_stamp  # noqa: E402
 
 
 def git(*args):
-    return subprocess.run(["git", "-C", ROOT] + list(args), check=True,
-                          text=True, stdout=subprocess.PIPE).stdout.strip()
+    done = subprocess.run(["git", "-C", ROOT] + list(args), check=True,
+                          text=True, stdout=subprocess.PIPE)
+    return done.stdout.rstrip("\n")  # keeps a porcelain line's leading space
 
 
-def cpu_model():
-    try:
-        with open("/proc/cpuinfo") as cpuinfo:
-            for line in cpuinfo:
-                if line.startswith("model name"):
-                    return line.split(":", 1)[1].strip()
-    except OSError:
-        pass
-    return "unknown"
-
-
-def quantile(values, q):
-    """Linear interpolation between order statistics, as perfbench's own
-    percentiles are taken."""
-    ordered = sorted(values)
-    pos = q * (len(ordered) - 1)
-    lo = int(math.floor(pos))
-    hi = min(lo + 1, len(ordered) - 1)
-    return ordered[lo] + (ordered[hi] - ordered[lo]) * (pos - lo)
+def quartiles(values):
+    """(q1, median, q3) of the values; all three equal for one value."""
+    if len(values) == 1:
+        return (values[0],) * 3
+    return tuple(statistics.quantiles(values, n=4, method="inclusive"))
 
 
 def children_cpu_s():
@@ -143,9 +140,9 @@ def verdict(base, change, better, bound):
         return a < b if lower else a > b
 
     pairs = len(base)
-    base_med, change_med = quantile(base, 0.5), quantile(change, 0.5)
-    base_iqr = quantile(base, 0.75) - quantile(base, 0.25)
-    change_iqr = quantile(change, 0.75) - quantile(change, 0.25)
+    base_q1, base_med, base_q3 = quartiles(base)
+    change_q1, change_med, change_q3 = quartiles(change)
+    base_iqr, change_iqr = base_q3 - base_q1, change_q3 - change_q1
     wins = sum(beats(c, b) for b, c in zip(base, change))
     losses = sum(beats(b, c) for b, c in zip(base, change))
     needed = math.ceil(0.9 * pairs)
@@ -192,12 +189,13 @@ def compare(workload, runs, specs):
         call, wins = verdict(base, change, spec["better"], spec.get("bound"))
         ratios = [c / b if b != 0 else (1.0 if c == 0 else math.inf)
                   for b, c in zip(base, change)]
+        base_q1, base_median, base_q3 = quartiles(base)
         entry = {"unit": spec["unit"], "better": spec["better"],
                  "bound": spec.get("bound"),
-                 "base_median": quantile(base, 0.5),
-                 "base_q1": quantile(base, 0.25),
-                 "base_q3": quantile(base, 0.75),
-                 "change_median": quantile(change, 0.5),
+                 "base_median": base_median,
+                 "base_q1": base_q1,
+                 "base_q3": base_q3,
+                 "change_median": statistics.median(change),
                  "ratios": ratios, "wins": wins, "pairs": len(pairs),
                  "verdict": call}
         out[name] = entry
@@ -208,13 +206,14 @@ def compare(workload, runs, specs):
         print("    ratios " + " ".join("%.3f" % r for r in ratios))
     base_cpu = [b["cpu_s"] for b, _ in pairs]
     change_cpu = [c["cpu_s"] for _, c in pairs]
-    out["cpu_s"] = {"base_median": quantile(base_cpu, 0.5),
-                    "change_median": quantile(change_cpu, 0.5),
+    out["cpu_s"] = {"base_median": statistics.median(base_cpu),
+                    "change_median": statistics.median(change_cpu),
                     "base": base_cpu, "change": change_cpu}
     print("  cpu seconds per run: base median %.2f (%.2f-%.2f), change "
           "median %.2f (%.2f-%.2f)" % (
-              quantile(base_cpu, 0.5), min(base_cpu), max(base_cpu),
-              quantile(change_cpu, 0.5), min(change_cpu), max(change_cpu)))
+              out["cpu_s"]["base_median"], min(base_cpu), max(base_cpu),
+              out["cpu_s"]["change_median"], min(change_cpu),
+              max(change_cpu)))
     return out
 
 
@@ -249,12 +248,12 @@ def main():
         print("perf_pairs: unknown revision %s" % args.base_ref,
               file=sys.stderr)
         return 2
+    # The change side is the whole working tree, untracked files included.
+    status = git("status", "--porcelain").splitlines()
     summary = {
         "base": {"ref": args.base_ref, "commit": base_commit},
         "change": {"commit": git("rev-parse", "HEAD"),
-                   "dirty": bool(git("status", "--porcelain",
-                                     "--untracked-files=no"))},
-        "nproc": len(os.sched_getaffinity(0)), "cpu_model": cpu_model(),
+                   "dirty": bool(status), "status": status},
         "pairs": args.pairs, "seconds": args.seconds, "scale": args.scale,
         "trace": args.trace, "first_seed": args.first_seed,
         "runs": [], "verdicts": {}}
@@ -280,6 +279,8 @@ def main():
         trees = {"base": base_tree, "change": ROOT}
         for side in ("base", "change"):
             build(side, trees[side], os.path.join(tmp, side + "-build.log"))
+        # Stamped after the builds, so it names the change side's compiler.
+        summary["machine"] = machine_stamp()
 
         for workload in workloads:
             runs = []
@@ -308,7 +309,7 @@ def main():
         print("\nsummary: %s (base %s, change %s%s; nproc %d, %s)" % (
             args.out, base_commit[:12], summary["change"]["commit"][:12],
             "+dirty" if summary["change"]["dirty"] else "",
-            summary["nproc"], summary["cpu_model"]))
+            summary["machine"]["nproc"], summary["machine"]["cpu"]))
         return 0
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
