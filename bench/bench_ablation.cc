@@ -178,22 +178,6 @@ void OracleChoice() {
   std::printf("\n");
 }
 
-void DeltaEncodingEffect() {
-  std::printf("--- Ablation F: delta-encoded samples (Section 3.4) ---\n");
-  TablePrinter table({"Dataset", "Raw synopsis", "Delta-encoded", "Saved"});
-  for (const auto& ds : RealLikeDatasets()) {
-    const Synopsis s = MustBuildSynopsis(ds.data, PassDefaults(128, 0.01));
-    const double raw = static_cast<double>(s.StorageBytes());
-    const double packed =
-        static_cast<double>(s.DeltaCompressedStorageBytes());
-    table.AddRow({ds.name, FormatBytes(s.StorageBytes()),
-                  FormatBytes(s.DeltaCompressedStorageBytes()),
-                  Pct(1.0 - packed / raw, 1)});
-  }
-  table.Print();
-  std::printf("\n");
-}
-
 void Run() {
   std::printf("=== Ablation bench: PASS design choices (scale %.1f) ===\n\n",
               Scale());
@@ -202,7 +186,6 @@ void Run() {
   AllocationPolicies();
   FanoutEffect();
   OracleChoice();
-  DeltaEncodingEffect();
 }
 
 }  // namespace

@@ -3,12 +3,16 @@
 /// p95 query latency, relative error, and batch throughput at one thread
 /// vs. the full pool, plus kernel timings (MCF index walk, synopsis
 /// construction, streaming insert) backing the complexity claims of
-/// Sections 3.2 and 4.5. Writes the machine-readable BENCH_micro.json the
-/// CI pipeline uploads to track the perf trajectory across PRs.
+/// Sections 3.2 and 4.5. Writes the machine-readable BENCH_micro.json,
+/// then checks the timing claims its sweeps exist to back (Claims below)
+/// and aborts naming the first that fails, so the numbers of a failed
+/// run stay on disk.
 ///
 /// PASS_BENCH_SCALE scales the dataset/workload (see bench_common.h);
-/// PASS_BENCH_JSON overrides the JSON output path.
+/// PASS_BENCH_JSON overrides the JSON output path. CI runs it at
+/// PASS_BENCH_SCALE=0.25.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <functional>
@@ -41,7 +45,7 @@ struct MethodRow {
   double qps_parallel = 0.0;
   /// Kernel rows only: per-operation rate derived from the median op cost.
   /// Kept separate from qps_sequential (batch wall-clock throughput) so
-  /// the two are never compared under one key in the artifact.
+  /// the two are never compared under one key in the JSON.
   double ops_per_sec = 0.0;
   /// Kernel-sweep rows only: scan throughput at the median per-op cost
   /// (rows per second through the scan kernel). 0 elsewhere.
@@ -66,7 +70,7 @@ uint64_t Bits(double v) {
 }
 
 /// True when all five ScanStats fields carry the same bit patterns: the
-/// kernel sweeps check this before timing, so a faster variant can never
+/// kernel sweep checks this before timing, so a faster variant can never
 /// be a wrong one.
 bool SameScanBits(const ScanStats& a, const ScanStats& b) {
   return a.matched == b.matched && Bits(a.sum) == Bits(b.sum) &&
@@ -108,14 +112,29 @@ std::vector<double> TimeKernel(size_t samples, size_t ops_per_sample,
 
 /// Kernel rows reuse the method-row shape so the JSON stays one flat
 /// array; error/storage fields are zero (kernels have no estimate).
-MethodRow KernelRow(const std::string& name, std::vector<double> per_op_ms) {
+MethodRow TimedRow(const std::string& method,
+                   const std::vector<double>& per_op_ms) {
   MethodRow row;
-  row.method = "kernel:" + name;
+  row.method = method;
   row.p50_latency_ms = Quantile(per_op_ms, 0.5);
   row.p95_latency_ms = Quantile(per_op_ms, 0.95);
   // ops/sec from the median per-op cost (robust to warm-up jitter).
   row.ops_per_sec = row.p50_latency_ms > 0.0 ? 1e3 / row.p50_latency_ms : 0.0;
   return row;
+}
+
+MethodRow KernelRow(const std::string& name,
+                    const std::vector<double>& per_op_ms) {
+  return TimedRow("kernel:" + name, per_op_ms);
+}
+
+/// One line of the registry and shard-sweep tables.
+std::vector<std::string> ServingCells(const std::string& label,
+                                      const MethodRow& r) {
+  return {label, FormatDouble(r.build_seconds, 3),
+          FormatDouble(r.p50_latency_ms, 4), FormatDouble(r.p95_latency_ms, 4),
+          FormatDouble(r.median_rel_error, 4),
+          FormatDouble(r.qps_sequential, 6), FormatDouble(r.qps_parallel, 6)};
 }
 
 void WriteJson(const std::string& path, const std::vector<MethodRow>& rows) {
@@ -143,9 +162,84 @@ void WriteJson(const std::string& path, const std::vector<MethodRow>& rows) {
                  r.parallel_threads, i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "]\n");
-  // A truncated artifact must fail the run, not get uploaded by CI.
+  // A truncated file must fail the run, not get uploaded by CI.
   PASS_CHECK_MSG(std::fclose(f) == 0,
                  ("error flushing " + path).c_str());
+}
+
+/// A timing claim bench_micro stands behind: `lhs < rhs`, or
+/// `lhs <= rhs` when not strict, between readings of two of its rows.
+struct Claim {
+  std::string message;  // why the run fails when the claim does not hold
+  double lhs = 0.0;
+  double rhs = 0.0;
+  bool strict = true;
+
+  bool Holds() const { return strict ? lhs < rhs : lhs <= rhs; }
+};
+
+/// Every claim, read from the rows by name. A missing row aborts: the
+/// sweeps in main() and these names must change together.
+std::vector<Claim> Claims(const std::vector<MethodRow>& rows) {
+  const auto row = [&rows](const std::string& method) -> const MethodRow& {
+    const auto it =
+        std::find_if(rows.begin(), rows.end(),
+                     [&](const MethodRow& r) { return r.method == method; });
+    PASS_CHECK_MSG(it != rows.end(), ("no row named " + method).c_str());
+    return *it;
+  };
+  const auto p50 = [&row](const std::string& method) {
+    return row(method).p50_latency_ms;
+  };
+  const auto rows_per_sec = [&row](const std::string& method) {
+    return row(method).rows_per_sec;
+  };
+
+  std::vector<Claim> claims;
+  for (const std::string k : {"2", "4", "8"}) {
+    claims.push_back({"fused AVG p50 must beat the triple at K=" + k,
+                      p50("fused_avg_k" + k), p50("triple_avg_k" + k)});
+  }
+  for (const std::string k : {"1", "4"}) {
+    claims.push_back({"25%-budget p50 must beat the full budget at K=" + k,
+                      p50("anytime_b25_k" + k), p50("anytime_b100_k" + k)});
+  }
+  for (const std::string k : {"2", "4"}) {
+    claims.push_back({"resume-to-full p50 must beat restart-at-full at K=" + k,
+                      p50("progressive_resume_k" + k),
+                      p50("progressive_restart_k" + k)});
+  }
+  for (const std::string n : {"1", "8", "64"}) {
+    claims.push_back({"warm-hit p50 must beat the cold p50 at clients=" + n,
+                      p50("cache_sweep_warm_c" + n),
+                      p50("cache_sweep_cold_c" + n)});
+  }
+  for (const std::string d : {"2", "4", "8"}) {
+    for (const std::string sel : {"1", "10", "90"}) {
+      const std::string cell = "_d" + d + "_s" + sel;
+      const std::string at = " at d=" + d + " s=" + sel;
+      claims.push_back({"simd p50 must not lose to scalar" + at,
+                        p50("kernel_sweep_dispatched" + cell),
+                        p50("kernel_sweep_scalar" + cell), /*strict=*/false});
+      claims.push_back({"pruned rows/sec must beat scalar" + at,
+                        rows_per_sec("kernel_sweep_scalar" + cell),
+                        rows_per_sec("kernel_sweep_pruned" + cell)});
+    }
+  }
+  // At d = 8, past kMaxFixedDims, ScanColumns dispatches to the runtime-dim
+  // loop itself.
+  const std::string fixed_claim =
+      "fixed-dim kernel rows/sec must not lose to the runtime-dim kernel";
+  for (const std::string d : {"2", "4"}) {
+    for (const std::string sel : {"1", "10", "90"}) {
+      const std::string cell = "_d" + d + "_s" + sel;
+      claims.push_back({fixed_claim + " at d=" + d + " s=" + sel,
+                        rows_per_sec("kernel_sweep_generic" + cell),
+                        rows_per_sec("kernel_sweep_dispatched" + cell),
+                        /*strict=*/false});
+    }
+  }
+  return claims;
 }
 
 /// `clients` threads each submit `per_client` queries (query_of(client,
@@ -243,15 +337,8 @@ int main() {
   for (const std::string& name : EngineRegistry::Global().Names()) {
     const std::unique_ptr<AqpSystem> engine =
         MustMakeEngine(name, data, config);
-    const MethodRow row = method_row(name, *engine);
-    rows.push_back(row);
-
-    table.AddRow({name, FormatDouble(row.build_seconds, 3),
-                  FormatDouble(row.p50_latency_ms, 4),
-                  FormatDouble(row.p95_latency_ms, 4),
-                  FormatDouble(row.median_rel_error, 4),
-                  FormatDouble(row.qps_sequential, 6),
-                  FormatDouble(row.qps_parallel, 6)});
+    rows.push_back(method_row(name, *engine));
+    table.AddRow(ServingCells(name, rows.back()));
   }
   table.Print();
 
@@ -260,18 +347,12 @@ int main() {
   // (smaller per-shard scans) and costs (merge overhead, per-shard
   // variance addition) across PRs. K=1 is not re-benchmarked:
   // the registry loop above already measured "sharded_pass" at its default
-  // num_shards=1, and that row doubles as the sweep baseline (the CI
-  // artifact slice keys on the "sharded_pass" prefix).
+  // num_shards=1, and that row doubles as the sweep baseline.
   TablePrinter shard_table({"shards", "build_s", "p50_ms", "p95_ms",
                             "med_rel_err", "qps_1t", "qps_mt"});
   for (const MethodRow& r : rows) {
     if (r.method == "sharded_pass") {
-      shard_table.AddRow({"1 (above)", FormatDouble(r.build_seconds, 3),
-                          FormatDouble(r.p50_latency_ms, 4),
-                          FormatDouble(r.p95_latency_ms, 4),
-                          FormatDouble(r.median_rel_error, 4),
-                          FormatDouble(r.qps_sequential, 6),
-                          FormatDouble(r.qps_parallel, 6)});
+      shard_table.AddRow(ServingCells("1 (above)", r));
     }
   }
   for (const size_t k : {size_t{2}, size_t{4}, size_t{8}}) {
@@ -281,15 +362,8 @@ int main() {
         MustMakeEngine("sharded_pass", data, shard_config);
     char method[32];
     std::snprintf(method, sizeof(method), "sharded_pass_k%zu", k);
-    const MethodRow row = method_row(method, *engine);
-    rows.push_back(row);
-
-    shard_table.AddRow({std::to_string(k), FormatDouble(row.build_seconds, 3),
-                        FormatDouble(row.p50_latency_ms, 4),
-                        FormatDouble(row.p95_latency_ms, 4),
-                        FormatDouble(row.median_rel_error, 4),
-                        FormatDouble(row.qps_sequential, 6),
-                        FormatDouble(row.qps_parallel, 6)});
+    rows.push_back(method_row(method, *engine));
+    shard_table.AddRow(ServingCells(std::to_string(k), rows.back()));
   }
   std::printf("\nsharded_pass shard-count sweep:\n");
   shard_table.Print();
@@ -336,7 +410,7 @@ int main() {
   // clients in {1, 8, 64}. Three passes per client count over the same
   // distinct-query set: cold (first touch on a fresh engine — cache
   // misses), warm (immediate second pass — hits), hot (third pass —
-  // steady state). CI asserts warm-hit p50 < cold p50 per client count.
+  // steady state). Claims: warm-hit p50 < cold p50 per client count.
   TablePrinter cache_table({"clients", "pass", "p50_ms", "p95_ms", "qps"});
   {
     const size_t per_client = std::max<size_t>(NumQueries() / 8, 16);
@@ -388,8 +462,8 @@ int main() {
   // shard) versus three per-aggregate Answer calls as they are issued
   // today (three evaluations per shard — note the AVG leg is itself
   // fused internally, so this *understates* the pre-fusion cost, which
-  // was five evaluations per shard for all three aggregates). The fused
-  // p50 must beat the triple baseline at K >= 2.
+  // was five evaluations per shard for all three aggregates). Claims: the
+  // fused p50 beats the triple baseline at K >= 2.
   TablePrinter fused_table({"shards", "fused_p50_ms", "fused_p95_ms",
                             "triple_p50_ms", "triple_p95_ms", "speedup"});
   {
@@ -461,7 +535,7 @@ int main() {
   // Anytime budget sweep: the same SUM workload answered through the
   // budgeted AnswerMulti at {25, 50, 100}% of each query's plan cost, at
   // K in {1, 4}. Tracks both axes of the anytime trade across PRs: p50
-  // latency must fall with the budget (CI asserts 25% < 100%) while the
+  // latency must fall with the budget (Claims: 25% < 100%) while the
   // median CI half-width reports what that latency buys. Per-query plan
   // costs come from an untimed unbudgeted warm-up pass; each timed sample
   // repeats the call so the 25-vs-100 delta stays above clock noise.
@@ -531,9 +605,9 @@ int main() {
   // ladder by resuming ONE EstimationSession (each step scans only the
   // delta units) versus restarting a fresh budgeted AnswerMulti at every
   // level (each step re-scans its whole prefix). Resume spends exactly
-  // plan units across the ladder; restart spends ~1.75x plan — CI asserts
-  // the wall-clock axis at K >= 2 and a ctest the scan-unit axis, so the
-  // resumable path keeps paying for itself across PRs.
+  // plan units across the ladder; restart spends ~1.75x plan. Claims
+  // holds the wall-clock axis at K >= 2 and a ctest the scan-unit axis,
+  // so the resumable path keeps paying for itself across PRs.
   TablePrinter progressive_table({"shards", "mode", "p50_ms", "p95_ms",
                                   "units/query"});
   {
@@ -676,20 +750,22 @@ int main() {
                              (void)leaf.Scan(scan_all);
                            })));
 
-  // SIMD kernel sweep: the branchy scalar reference vs the branchless
-  // kernel vs the kernel with active-dim pruning (only the last dim
-  // contested — the shape the estimator produces for a partial leaf whose
-  // box the query covers on every other dimension; last rather than first
-  // so the scalar loop's short-circuit order doesn't decide the race, and
-  // the sweep measures full-width scan cost). The simd and pruned rows
-  // time ScanColumns as dispatched, so d <= kMaxFixedDims runs the fixed
-  // instantiations. All three compute the same mask, so their stats are
-  // checked bit-identical before timing; CI asserts simd p50 <= scalar p50
-  // and pruned rows/sec > scalar at d >= 2.
+  // Kernel sweep, one cell per (d, selectivity): four variants scan the
+  // same 8192 rows. The branchy scalar reference; ScanColumnsGeneric, the
+  // runtime-dim loop; ScanColumns as dispatched, which runs the fixed
+  // instantiations at d <= kMaxFixedDims; and the pruned scan, ScanColumns
+  // over the contested dim alone. Only the last dim is contested (the
+  // shape the estimator produces for a partial leaf whose box the query
+  // covers on every other dim); last rather than first so the scalar
+  // loop's short-circuit order doesn't decide the race. Every variant's
+  // stats are checked bit-identical to the reference before timing, and
+  // the four take their samples in turn.
   {
     constexpr size_t kSweepRows = 8192;  // unscaled: in-run comparison only
+    constexpr const char* kVariants[] = {"scalar", "generic", "dispatched",
+                                         "pruned"};
     Rng sweep_rng(4242);
-    TablePrinter simd_table({"sweep", "p50_ms/op", "Mrows/s"});
+    TablePrinter sweep_table({"sweep", "p50_ms/op", "Mrows/s"});
     for (const size_t d : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
       std::vector<std::vector<double>> cols(d,
                                             std::vector<double>(kSweepRows));
@@ -708,134 +784,40 @@ int main() {
             ScanDim{cols[d - 1].data(), 0.0, static_cast<double>(sel) / 100.0};
         const ScanDim contested = all_dims[d - 1];
 
-        const ScanStats want = ScanColumnsScalarRef(agg.data(), kSweepRows,
-                                                    all_dims.data(), d);
-        for (const ScanStats got :
-             {ScanColumns(agg.data(), kSweepRows, all_dims.data(), d),
-              ScanColumns(agg.data(), kSweepRows, &contested, 1)}) {
-          PASS_CHECK_MSG(SameScanBits(got, want),
-                         "simd sweep kernels diverged");
+        const double* values = agg.data();
+        const ScanDim* dims = all_dims.data();
+        const std::function<ScanStats()> scans[] = {
+            [&] { return ScanColumnsScalarRef(values, kSweepRows, dims, d); },
+            [&] { return ScanColumnsGeneric(values, kSweepRows, dims, d); },
+            [&] { return ScanColumns(values, kSweepRows, dims, d); },
+            [&] { return ScanColumns(values, kSweepRows, &contested, 1); },
+        };
+        const ScanStats want = scans[0]();
+        std::vector<std::function<void()>> ops;
+        for (const std::function<ScanStats()>& scan : scans) {
+          PASS_CHECK_MSG(SameScanBits(scan(), want),
+                         "kernel sweep variants diverged");
+          ops.emplace_back([&scan] { (void)scan(); });
         }
-
-        struct Variant {
-          const char* name;
-          std::function<void()> op;
-        };
-        const Variant variants[] = {
-            {"scalar",
-             [&] {
-               (void)ScanColumnsScalarRef(agg.data(), kSweepRows,
-                                          all_dims.data(), d);
-             }},
-            {"simd",
-             [&] {
-               (void)ScanColumns(agg.data(), kSweepRows, all_dims.data(), d);
-             }},
-            {"pruned",
-             [&] {
-               (void)ScanColumns(agg.data(), kSweepRows, &contested, 1);
-             }},
-        };
-        for (const Variant& v : variants) {
-          char name[48];
-          std::snprintf(name, sizeof(name), "simd_sweep_%s_d%zu_s%d", v.name,
-                        d, sel);
-          MethodRow row;
-          row.method = name;
-          const std::vector<double> per_op_ms = TimeKernel(30, 50, v.op);
-          row.p50_latency_ms = Quantile(per_op_ms, 0.5);
-          row.p95_latency_ms = Quantile(per_op_ms, 0.95);
-          row.ops_per_sec =
-              row.p50_latency_ms > 0.0 ? 1e3 / row.p50_latency_ms : 0.0;
-          row.rows_per_sec =
-              row.ops_per_sec * static_cast<double>(kSweepRows);
-          simd_table.AddRow({row.method,
-                             FormatDouble(row.p50_latency_ms, 4),
-                             FormatDouble(row.rows_per_sec / 1e6, 1)});
-          rows.push_back(row);
-        }
-      }
-    }
-    std::printf("\nsimd scan-kernel sweep (%s build):\n",
-                ScanKernelVectorized() ? "vectorized" : "scalar");
-    simd_table.Print();
-  }
-
-  // Specialization sweep: the runtime-dim instantiation
-  // (ScanColumnsGeneric) vs ScanColumns, which dispatches these dim counts
-  // to the compile-time-fixed instantiations. Only the last dim is
-  // contested (same shape as the simd sweep) and both are checked
-  // bit-identical before timing. CI asserts fixed rows/sec >= generic at
-  // d >= 2, where the per-block descriptor loop the fixed kernels delete
-  // is widest, so the two take their samples in turn. The jit_sweep_ row
-  // names predate the fixed kernels' move behind ScanColumns and are kept
-  // so the series stays comparable.
-  {
-    constexpr size_t kSweepRows = 8192;  // unscaled: in-run comparison only
-    Rng jit_rng(4243);
-    TablePrinter jit_table({"sweep", "p50_ms/op", "Mrows/s"});
-    for (const size_t d : {size_t{1}, size_t{2}, size_t{4}}) {
-      std::vector<std::vector<double>> cols(d,
-                                            std::vector<double>(kSweepRows));
-      std::vector<double> agg(kSweepRows);
-      for (auto& col : cols) {
-        for (double& v : col) v = jit_rng.UniformDouble();
-      }
-      for (double& a : agg) a = jit_rng.LogNormal(1.0, 0.6);
-      for (const int sel : {1, 10, 90}) {
-        std::vector<ScanDim> all_dims(d);
-        for (size_t k = 0; k + 1 < d; ++k) {
-          all_dims[k] = ScanDim{cols[k].data(), -1.0, 2.0};
-        }
-        all_dims[d - 1] =
-            ScanDim{cols[d - 1].data(), 0.0, static_cast<double>(sel) / 100.0};
-        const ScanStats fixed =
-            ScanColumns(agg.data(), kSweepRows, all_dims.data(), d);
-        const ScanStats generic =
-            ScanColumnsGeneric(agg.data(), kSweepRows, all_dims.data(), d);
-        PASS_CHECK_MSG(SameScanBits(fixed, generic),
-                       "fixed sweep kernel diverged from the generic one");
-
-        struct Variant {
-          const char* name;
-          std::function<void()> op;
-        };
-        const Variant variants[] = {
-            {"generic",
-             [&] {
-               (void)ScanColumnsGeneric(agg.data(), kSweepRows,
-                                        all_dims.data(), d);
-             }},
-            {"fixed",
-             [&] {
-               (void)ScanColumns(agg.data(), kSweepRows, all_dims.data(), d);
-             }},
-        };
         const std::vector<std::vector<double>> timings =
-            TimeKernelsInterleaved(30, 50, {variants[0].op, variants[1].op});
+            TimeKernelsInterleaved(30, 50, ops);
         for (size_t k = 0; k < timings.size(); ++k) {
-          const Variant& v = variants[k];
           char name[48];
-          std::snprintf(name, sizeof(name), "jit_sweep_%s_d%zu_s%d", v.name,
-                        d, sel);
-          MethodRow row;
-          row.method = name;
-          const std::vector<double>& per_op_ms = timings[k];
-          row.p50_latency_ms = Quantile(per_op_ms, 0.5);
-          row.p95_latency_ms = Quantile(per_op_ms, 0.95);
-          row.ops_per_sec =
-              row.p50_latency_ms > 0.0 ? 1e3 / row.p50_latency_ms : 0.0;
+          std::snprintf(name, sizeof(name), "kernel_sweep_%s_d%zu_s%d",
+                        kVariants[k], d, sel);
+          MethodRow row = TimedRow(name, timings[k]);
           row.rows_per_sec =
               row.ops_per_sec * static_cast<double>(kSweepRows);
-          jit_table.AddRow({row.method,
-                            FormatDouble(row.p50_latency_ms, 4),
-                            FormatDouble(row.rows_per_sec / 1e6, 1)});
+          sweep_table.AddRow({row.method,
+                              FormatDouble(row.p50_latency_ms, 4),
+                              FormatDouble(row.rows_per_sec / 1e6, 1)});
           rows.push_back(row);
         }
       }
     }
-    std::printf("\nspecialization sweep (fixed vs runtime-dim kernel):\n");
-    jit_table.Print();
+    std::printf("\nscan-kernel sweep (%s build):\n",
+                ScanKernelVectorized() ? "vectorized" : "scalar");
+    sweep_table.Print();
   }
 
   const Dataset build_data = MakeTaxiDatetime(Scaled(50'000), 78);
@@ -865,5 +847,16 @@ int main() {
       "in pool)\n",
       path.c_str(), num_engines, rows.size() - num_engines, queries.size(),
       scheduler.num_threads());
+
+  // After the write, so a failed claim still leaves its numbers on disk.
+  const std::vector<Claim> claims = Claims(rows);
+  std::printf("\nclaims:\n");
+  for (const Claim& c : claims) {
+    std::printf("  %s  %s (%.6g %s %.6g)\n", c.Holds() ? "ok  " : "FAIL",
+                c.message.c_str(), c.lhs, c.strict ? "<" : "<=", c.rhs);
+  }
+  std::fflush(stdout);  // abort() below would drop buffered output
+  for (const Claim& c : claims) PASS_CHECK_MSG(c.Holds(), c.message.c_str());
+  std::printf("all %zu claims hold\n", claims.size());
   return 0;
 }

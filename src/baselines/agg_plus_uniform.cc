@@ -161,13 +161,16 @@ SystemCosts AggregatePlusUniformSystem::Costs() const {
 
 namespace {
 
+/// Moves the hill climb takes at most before it stops short of a local
+/// optimum.
+constexpr size_t kHillClimbIterations = 60;
+
 /// Hill-climbing boundary selection on a sorted optimization sample: the
 /// objective is the worst per-partition SUM variance (what a gap estimate
 /// inside that partition costs). Moves shift one internal cut halfway
 /// toward either neighbor; the best improving move is taken greedily.
 std::vector<size_t> HillClimbSampleCuts(const PrefixSums& prefix,
-                                        double ratio, size_t m, size_t b,
-                                        size_t max_iterations) {
+                                        double ratio, size_t m, size_t b) {
   const SampleVariance var(&prefix, ratio);
   std::vector<size_t> cuts = EqualDepthBoundaries(m, b);
   auto partition_cost = [&](size_t lo, size_t hi) {
@@ -181,7 +184,7 @@ std::vector<size_t> HillClimbSampleCuts(const PrefixSums& prefix,
     return worst;
   };
   double best_obj = objective(cuts);
-  for (size_t iter = 0; iter < max_iterations; ++iter) {
+  for (size_t iter = 0; iter < kHillClimbIterations; ++iter) {
     double move_obj = best_obj;
     size_t move_idx = 0;
     size_t move_pos = 0;
@@ -231,8 +234,8 @@ AggregatePlusUniformSystem MakeAqpPlusPlus(const Dataset& data,
   }
   const PrefixSums prefix(sample_agg);
   const double ratio = static_cast<double>(n) / static_cast<double>(m);
-  const std::vector<size_t> sample_cuts = HillClimbSampleCuts(
-      prefix, ratio, m, options.num_partitions, options.max_iterations);
+  const std::vector<size_t> sample_cuts =
+      HillClimbSampleCuts(prefix, ratio, m, options.num_partitions);
 
   const std::vector<size_t> cuts =
       MapSampleCutsToData(sample_cuts, sample_pred, col, perm);
@@ -257,7 +260,6 @@ AggregatePlusUniformSystem MakeKdUs(const Dataset& data,
   kd.partition_dims = options.partition_dims;
   kd.max_leaves = options.max_leaves;
   kd.expansion = KdExpansion::kBreadthFirst;
-  kd.max_depth_imbalance = options.max_depth_imbalance;
   kd.seed = options.seed;
   KdBuildResult result = BuildKdPartition(data, kd);
   AggregatePlusUniformSystem system(data, std::move(result.tree),

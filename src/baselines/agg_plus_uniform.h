@@ -62,8 +62,11 @@ struct AqpPlusPlusOptions {
   double sample_rate = 0.005;
   size_t dim = 0;
   size_t opt_sample_size = 10'000;
-  size_t max_iterations = 60;
   uint64_t seed = 42;
+  /// AVG is always the ratio of the SUM and COUNT estimates: paper weights
+  /// (AvgMode::kPaperWeights) have no meaning for the gap stratum, which
+  /// spans the whole table, so avg_mode is ignored here and the registry's
+  /// "agg_uniform" rejects kPaperWeights with InvalidArgument.
   EstimatorOptions estimator;
 };
 AggregatePlusUniformSystem MakeAqpPlusPlus(const Dataset& data,
@@ -75,8 +78,8 @@ struct KdUsOptions {
   std::vector<size_t> partition_dims;
   size_t max_leaves = 1024;
   double sample_rate = 0.005;
-  int max_depth_imbalance = 2;
   uint64_t seed = 42;
+  /// As for AQP++: AVG is the ratio estimate whatever avg_mode says.
   EstimatorOptions estimator;
 };
 AggregatePlusUniformSystem MakeKdUs(const Dataset& data,

@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "core/delta_encoding.h"
-
 namespace pass {
 namespace {
 
@@ -53,20 +51,6 @@ uint64_t Synopsis::ResidentBytes() const {
   uint64_t total = StorageBytes();
   for (const auto& s : samples_) {
     total += s.SizeBytes() - s.PayloadBytes();  // reservation slack
-  }
-  return total;
-}
-
-uint64_t Synopsis::DeltaCompressedStorageBytes() const {
-  uint64_t total = StorageBytes();
-  for (size_t leaf_id = 0; leaf_id < samples_.size(); ++leaf_id) {
-    const StratifiedSample& sample = samples_[leaf_id];
-    const double mean =
-        tree_.node(tree_.leaves()[leaf_id]).stats.Mean();
-    const uint64_t raw = sample.size() * sizeof(double);
-    const uint64_t packed = DeltaEncodedAggregateBytes(sample, mean);
-    total -= raw;
-    total += packed;
   }
   return total;
 }

@@ -87,11 +87,6 @@ class Synopsis final : public AqpSystem {
   /// footprint including reservoir Reserve slack. >= StorageBytes().
   uint64_t ResidentBytes() const;
 
-  /// Storage under Section 3.4's delta encoding: each leaf sample's
-  /// aggregate column stored as float32 deltas from the partition mean
-  /// (falling back to raw doubles where quantization would be lossy).
-  uint64_t DeltaCompressedStorageBytes() const;
-
   // --- Dynamic updates (Section 4.5) ---------------------------------------
 
   /// Inserts a tuple. Returns false, changing nothing, when the row has

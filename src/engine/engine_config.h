@@ -38,9 +38,6 @@ struct EngineConfig {
   /// Partitioning strategy for the PASS synopsis.
   PartitionStrategy strategy = PartitionStrategy::kAdp;
 
-  /// Fraction of rows the SPN baseline trains on (DeepDB-10% uses 0.1).
-  double spn_train_fraction = 1.0;
-
   /// Number of data shards for the "sharded_pass" engine; partitions and
   /// the sampling budget are split fair-total across them. 1 = unsharded.
   size_t num_shards = 1;
@@ -79,9 +76,6 @@ struct EngineConfig {
     }
     if (opt_sample_size == 0) {
       return Status::InvalidArgument("opt_sample_size must be >= 1");
-    }
-    if (!(spn_train_fraction > 0.0) || spn_train_fraction > 1.0) {
-      return Status::InvalidArgument("spn_train_fraction must be in (0, 1]");
     }
     if (num_shards == 0) {
       return Status::InvalidArgument("num_shards must be >= 1");

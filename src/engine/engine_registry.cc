@@ -47,6 +47,11 @@ SystemResult MakeStratified(const Dataset& data, const EngineConfig& config) {
 SystemResult MakeAggUniform(const Dataset& data, const EngineConfig& config) {
   Status dim_ok = CheckDim(data, config);
   if (!dim_ok.ok()) return dim_ok;
+  if (config.estimator.avg_mode == AvgMode::kPaperWeights) {
+    return Status::InvalidArgument(
+        "agg_uniform answers AVG as a ratio only: AvgMode::kPaperWeights "
+        "has no meaning for its whole-table gap stratum");
+  }
   AqpPlusPlusOptions options;
   options.num_partitions = config.partitions;
   options.sample_rate = config.sample_rate;
@@ -59,8 +64,7 @@ SystemResult MakeAggUniform(const Dataset& data, const EngineConfig& config) {
 }
 
 SystemResult MakeSpn(const Dataset& data, const EngineConfig& config) {
-  SpnSystem::Options options;
-  options.train_fraction = config.spn_train_fraction;
+  SpnSystem::Options options;  // trains on every row
   options.seed = config.seed;
   return std::unique_ptr<AqpSystem>(new SpnSystem(data, options));
 }

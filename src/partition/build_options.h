@@ -62,6 +62,12 @@ enum class SampleAllocation {
   kNeyman,
 };
 
+/// The paper's minimum meaningful overlap fraction delta (Section 4.2):
+/// the variance oracles consider only queries that cover at least
+/// delta * m of the m optimization-sample rows. The 1-D and the kd
+/// builders both read it.
+inline constexpr double kMinOverlapFraction = 0.005;
+
 /// Everything needed to construct a PASS synopsis from a dataset.
 struct BuildOptions {
   /// Maximum number of leaf partitions k (construction-time budget tau_c).
@@ -83,10 +89,8 @@ struct BuildOptions {
   /// The query type whose worst-case variance the optimizer minimizes.
   AggregateType optimize_for = AggregateType::kSum;
 
-  /// Optimization-sample size m and minimum meaningful overlap fraction
-  /// delta (Section 4.2).
+  /// Optimization-sample size m (Section 4.2).
   size_t opt_sample_size = 10'000;
-  double delta = 0.005;
 
   /// Shape of the aggregate hierarchy stacked on the 1-D leaves.
   size_t fanout = 2;

@@ -113,7 +113,7 @@ Result<PartitionBuildResult> Build1DPartition(const Dataset& data,
       const SampleVariance var(&prefix, ratio);
       const size_t window = std::max<size_t>(
           1, static_cast<size_t>(
-                 std::llround(options.delta * static_cast<double>(m))));
+                 std::llround(kMinOverlapFraction * static_cast<double>(m))));
       const size_t min_query = window;
 
       MaxVarOracle oracle;
@@ -159,7 +159,6 @@ Result<PartitionBuildResult> BuildKdPath(const Dataset& data,
   kd.max_leaves = options.num_leaves;
   kd.optimize_for = options.optimize_for;
   kd.opt_sample_size = options.opt_sample_size;
-  kd.delta = options.delta;
   kd.max_depth_imbalance = options.max_depth_imbalance;
   kd.seed = options.seed;
   switch (options.strategy) {

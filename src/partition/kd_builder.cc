@@ -8,6 +8,7 @@
 #include "common/macros.h"
 #include "common/rng.h"
 #include "geom/kd_split.h"
+#include "partition/build_options.h"
 #include "stats/sampling.h"
 
 namespace pass {
@@ -202,7 +203,7 @@ KdBuildResult BuildKdPartition(const Dataset& data,
   std::vector<size_t> opt_sample = SampleWithoutReplacement(n, m, &rng);
   const double ratio = static_cast<double>(n) / static_cast<double>(m);
   const size_t window = std::max<size_t>(
-      1, static_cast<size_t>(std::llround(options.delta *
+      1, static_cast<size_t>(std::llround(kMinOverlapFraction *
                                           static_cast<double>(m))));
   LeafScorer scorer(data, dims, options.optimize_for, ratio, window);
 

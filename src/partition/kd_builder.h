@@ -28,7 +28,6 @@ struct KdBuildOptions {
   KdExpansion expansion = KdExpansion::kMaxVariance;
   AggregateType optimize_for = AggregateType::kAvg;
   size_t opt_sample_size = 10'000;  // m
-  double delta = 0.005;             // meaningful-overlap fraction
   int max_depth_imbalance = 2;      // Section 5.4 balance constraint
   uint64_t seed = 42;
 };

@@ -2,7 +2,6 @@
 #define PASS_SHARD_SHARD_OPTIONS_H_
 
 #include <cstddef>
-#include <cstdint>
 
 namespace pass {
 
@@ -42,8 +41,6 @@ struct ShardOptions {
   ShardStrategy strategy = ShardStrategy::kRoundRobin;
   /// Predicate column kRangeOnDim splits on / kHash hashes.
   size_t dim = 0;
-  /// Mixed into the kHash placement so resharding is reproducible.
-  uint64_t hash_seed = 0x9E3779B97F4A7C15ull;
 };
 
 }  // namespace pass

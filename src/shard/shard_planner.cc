@@ -5,14 +5,17 @@
 namespace pass {
 namespace {
 
+/// Mixed into the kHash placement so resharding is reproducible.
+constexpr uint64_t kHashSeed = 0x9E3779B97F4A7C15ull;
+
 /// SplitMix64 finalizer over the value's bit pattern: a stable, well-mixed
 /// content hash for double keys (normalizes -0.0 to 0.0 so equal values
 /// always land on the same shard).
-uint64_t HashDouble(double value, uint64_t seed) {
+uint64_t HashDouble(double value) {
   if (value == 0.0) value = 0.0;
   uint64_t x = 0;
   std::memcpy(&x, &value, sizeof(x));
-  x += seed + 0x9E3779B97F4A7C15ull;
+  x += kHashSeed + 0x9E3779B97F4A7C15ull;
   x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
   x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
   return x ^ (x >> 31);
@@ -54,8 +57,7 @@ Result<ShardPlan> ShardPlanner::Plan(const Dataset& data) const {
     }
     case ShardStrategy::kHash:
       for (size_t row = 0; row < n; ++row) {
-        const uint64_t h =
-            HashDouble(data.pred(options_.dim, row), options_.hash_seed);
+        const uint64_t h = HashDouble(data.pred(options_.dim, row));
         plan[h % k].push_back(static_cast<uint32_t>(row));
       }
       break;

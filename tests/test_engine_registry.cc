@@ -168,6 +168,25 @@ TEST(EngineRegistry, OutOfRangeDimIsRejected) {
   }
 }
 
+// agg_uniform answers AVG as the ratio of its SUM and COUNT estimates, so
+// a paper-weights build is refused instead of silently answering with the
+// ratio estimator. The engines that honor the mode still build.
+TEST(EngineRegistry, AggUniformRejectsPaperWeightsAvg) {
+  const Dataset data = SmokeData();
+  EngineConfig config;
+  config.estimator.avg_mode = AvgMode::kPaperWeights;
+  auto engine = EngineRegistry::Global().Create("agg_uniform", data, config);
+  ASSERT_FALSE(engine.ok());
+  EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument);
+  for (const std::string name : {"pass", "stratified", "uniform"}) {
+    EXPECT_TRUE(EngineRegistry::Global().Create(name, data, config).ok())
+        << name;
+  }
+  config.estimator.avg_mode = AvgMode::kRatio;
+  EXPECT_TRUE(
+      EngineRegistry::Global().Create("agg_uniform", data, config).ok());
+}
+
 TEST(EngineRegistry, ShardedPassHonorsShardCount) {
   const Dataset data = SmokeData();
   EngineConfig config;

@@ -68,36 +68,46 @@ TEST(SynopsisEnsemble, AnswerUsesTheRoutedMember) {
 }
 
 // BuildEnsemble's fair-total contract: the members together store about
-// one `base` budget worth of samples, split evenly across members.
+// one `base` budget worth of samples, split evenly across members. The
+// budget is the sample rate's share of the rows, or an explicit
+// sample_budget, which overrides the rate.
 TEST(SynopsisEnsemble, FairTotalBudgetSplitAcrossMembers) {
   const Dataset data = MakeTaxiLike(30000, 124).WithPredDims(2);
-  const BuildOptions base = EnsembleBase();
-  const SynopsisEnsemble ensemble =
-      MustBuildEnsemble(data, {{0}, {1}, {0, 1}}, base);
-  const double total_budget =
-      base.sample_rate * static_cast<double>(data.NumRows());
-  const double per_member = total_budget / 3.0;
-  double stored_total = 0.0;
-  for (size_t m = 0; m < ensemble.NumMembers(); ++m) {
-    double stored = 0.0;
-    for (size_t leaf = 0; leaf < ensemble.member(m).NumLeaves(); ++leaf) {
-      stored +=
-          static_cast<double>(ensemble.member(m).leaf_sample(leaf).size());
+  BuildOptions explicit_budget = EnsembleBase();
+  explicit_budget.sample_budget = 1000;
+  for (const BuildOptions& base : {EnsembleBase(), explicit_budget}) {
+    const SynopsisEnsemble ensemble =
+        MustBuildEnsemble(data, {{0}, {1}, {0, 1}}, base);
+    const double total_budget =
+        base.sample_budget
+            ? static_cast<double>(*base.sample_budget)
+            : base.sample_rate * static_cast<double>(data.NumRows());
+    const double per_member = total_budget / 3.0;
+    double stored_total = 0.0;
+    for (size_t m = 0; m < ensemble.NumMembers(); ++m) {
+      double stored = 0.0;
+      for (size_t leaf = 0; leaf < ensemble.member(m).NumLeaves(); ++leaf) {
+        stored +=
+            static_cast<double>(ensemble.member(m).leaf_sample(leaf).size());
+      }
+      EXPECT_NEAR(stored, per_member, 0.2 * per_member) << "member " << m;
+      stored_total += stored;
     }
-    EXPECT_NEAR(stored, per_member, 0.2 * per_member) << "member " << m;
-    stored_total += stored;
+    EXPECT_NEAR(stored_total, total_budget, 0.15 * total_budget);
   }
-  EXPECT_NEAR(stored_total, total_budget, 0.15 * total_budget);
 }
 
 TEST(SynopsisEnsemble, CostsAggregateMembers) {
   const Dataset data = MakeTaxiLike(6000, 125).WithPredDims(2);
   const SynopsisEnsemble ensemble = MustBuildEnsemble(data, {{0}, {1}});
   uint64_t storage = 0;
+  double build_seconds = 0.0;
   for (size_t m = 0; m < ensemble.NumMembers(); ++m) {
     storage += ensemble.member(m).Costs().storage_bytes;
+    build_seconds += ensemble.member(m).Costs().build_seconds;
   }
   EXPECT_EQ(ensemble.Costs().storage_bytes, storage);
+  EXPECT_DOUBLE_EQ(ensemble.Costs().build_seconds, build_seconds);
   EXPECT_EQ(ensemble.Name(), "PASS-Ensemble");
 }
 
@@ -134,6 +144,30 @@ TEST(SynopsisEnsemble, AnswersMatchSingleSynopsisWithinTolerance) {
   const double single_median = Median(single_err);
   EXPECT_LT(ens_median, 0.1);
   EXPECT_LT(ens_median, 4.0 * single_median + 0.02);
+}
+
+// Hard bounds hold over a 3-D workload whichever member the router picks.
+TEST(SynopsisEnsemble, AnswersAreValidWhicheverMemberRoutes) {
+  const Dataset data = MakeTaxiLike(30000, 10).WithPredDims(3);
+  BuildOptions base;
+  base.num_leaves = 64;
+  base.sample_rate = 0.03;
+  const SynopsisEnsemble ensemble =
+      MustBuildEnsemble(data, {{0}, {0, 1}, {0, 1, 2}}, base);
+  WorkloadOptions wl;
+  wl.agg = AggregateType::kSum;
+  wl.count = 60;
+  wl.template_dims = {0, 1};
+  wl.seed = 11;
+  for (const Query& q : RandomRangeQueries(data, wl)) {
+    const ExactResult truth = ExactAnswer(data, q);
+    if (truth.matched == 0) continue;
+    const QueryAnswer answer = ensemble.Answer(q);
+    ASSERT_TRUE(answer.hard_lb && answer.hard_ub);
+    const double slack = 1e-9 * (1.0 + std::abs(truth.value));
+    EXPECT_GE(truth.value, *answer.hard_lb - slack);
+    EXPECT_LE(truth.value, *answer.hard_ub + slack);
+  }
 }
 
 TEST(BuildEnsemble, RejectsEmptyTemplates) {

@@ -1,7 +1,8 @@
 /// GROUP BY through the canonical AnswerOptions path: grouped rows match
 /// the per-group queries they rewrite to (bit for bit), the fused variant
 /// matches AnswerMulti per group, budgets forward to every group, and
-/// DistinctValues enumerates categorical domains.
+/// DistinctValues enumerates categorical domains and refuses continuous
+/// ones.
 
 #include <algorithm>
 #include <cmath>
@@ -134,6 +135,38 @@ TEST(GroupBy, BudgetOptionsForwardToEveryGroup) {
   for (size_t g = 0; g < groups.size(); ++g) {
     ExpectAnswersBitIdentical(full[g].answer, plain[g].answer);
   }
+}
+
+// The groups of a categorical column partition the table, so their COUNT
+// rows add up to about N.
+TEST(GroupBy, GroupCountsAddUpToTheTable) {
+  const Dataset data = MakeInstacartLike(40000, 7, 20);
+  BuildOptions options;
+  options.num_leaves = 16;
+  options.sample_rate = 0.05;
+  const Synopsis s = MustBuild(data, options);
+  const std::vector<double> groups = DistinctValues(data, 0).value();
+  double total = 0.0;
+  for (const GroupByRow& row :
+       AnswerGroupBy(s, AggregateType::kCount, Rect::All(1), 0, groups)) {
+    total += row.answer.estimate.value;
+  }
+  EXPECT_NEAR(total, 40000.0, 40000.0 * 0.1);
+}
+
+TEST(GroupBy, DistinctValuesOfCategoricalColumn) {
+  const Dataset data = MakeInstacartLike(5000, 5, 50);
+  const auto values = DistinctValues(data, 0);
+  ASSERT_TRUE(values.has_value());
+  EXPECT_FALSE(values->empty());
+  EXPECT_LE(values->size(), 50u);
+  EXPECT_TRUE(std::is_sorted(values->begin(), values->end()));
+}
+
+TEST(GroupBy, RefusesContinuousColumns) {
+  const Dataset data = MakeUniform(10000, 6);
+  // Truncation is nullopt, distinguishable from a genuinely empty column.
+  EXPECT_FALSE(DistinctValues(data, 0, 100).has_value());
 }
 
 }  // namespace

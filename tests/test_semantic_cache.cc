@@ -1,8 +1,8 @@
 /// The semantic answer cache (EngineConfig::cache): bit-identity of cached
 /// answers across the whole registry and through resumed sessions,
-/// hit/miss/evict accounting, dataset-version invalidation, and
-/// thread-safety of a shared cache under concurrent readers (this binary
-/// is a TSan CI target).
+/// hit/miss/evict accounting, hits that scan nothing, dataset-version
+/// invalidation, and thread-safety of a shared cache under concurrent
+/// readers (this binary is a TSan CI target).
 
 #include <cmath>
 #include <memory>
@@ -17,6 +17,7 @@
 #include "core/exact.h"
 #include "data/generators.h"
 #include "engine/engine_registry.h"
+#include "jit/kernel_cache.h"
 #include "tests/test_util.h"
 
 namespace pass {
@@ -256,6 +257,52 @@ TEST(SemanticCache, SingleAndMultiEntriesAreKeyedApart) {
   cache.InsertMulti(canonical, multi);
   EXPECT_TRUE(cache.LookupMulti(canonical).has_value());
   EXPECT_EQ(cache.Stats().exact_entries, 2u);
+}
+
+// ---------------------------------------------------------------------------
+// Work: a cache hit scans nothing
+// ---------------------------------------------------------------------------
+
+/// The work-count twin of bench_micro's claim that a warm hit beats a cold
+/// miss: the first Answer and the first AnswerMulti of a predicate scan
+/// leaf samples, and their repeats come back bit-identical without moving
+/// the engine's kernel tier counters.
+TEST(SemanticCache, HitsScanNothing) {
+  const Dataset data = MakeIntelLike(8000, 85);
+  for (const size_t shards : {size_t{1}, size_t{4}}) {
+    const std::string name = shards == 1 ? "pass" : "sharded_pass";
+    SCOPED_TRACE(name);
+    EngineConfig config = BaseConfig();
+    config.num_shards = shards;
+    config.cache.enabled = true;
+    const auto engine = MustCreate(name, data, config);
+    const KernelCache* counters = engine->ScanKernelCache();
+    ASSERT_NE(counters, nullptr);
+    const auto scans = [counters] {
+      const KernelTierStats stats = counters->Stats();
+      return stats.fixed_scans + stats.generic_scans;
+    };
+
+    // Both ends cut a leaf: the time column is the row index, 0..7999.
+    const Query q = RangeQueryOnDim(AggregateType::kSum, 1, 0, 3137.0, 6421.0);
+    uint64_t before = scans();
+    const QueryAnswer first = engine->Answer(q);
+    EXPECT_GT(scans(), before);
+    before = scans();
+    ExpectAnswersBitIdentical(engine->Answer(q), first);
+    EXPECT_EQ(scans(), before);
+
+    before = scans();
+    const MultiAnswer first_multi = engine->AnswerMulti(q.predicate);
+    EXPECT_GT(scans(), before);
+    before = scans();
+    ExpectMultiBitIdentical(engine->AnswerMulti(q.predicate), first_multi);
+    EXPECT_EQ(scans(), before);
+
+    const CacheStats stats = engine->AnswerCache()->Stats();
+    EXPECT_EQ(stats.exact_misses, 2u);
+    EXPECT_EQ(stats.exact_hits, 2u);
+  }
 }
 
 // ---------------------------------------------------------------------------
